@@ -23,14 +23,31 @@ func benchOpts() vpr.ExperimentOptions {
 	return vpr.ExperimentOptions{Instr: benchInstr}
 }
 
+// runExperiment regenerates one registry experiment on an uncached engine,
+// so every benchmark iteration simulates every point.
+func runExperiment[T any](b *testing.B, name string, opts vpr.ExperimentOptions) T {
+	b.Helper()
+	res, err := vpr.New(vpr.WithCache(0)).RunExperiment(context.Background(), name, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Value.(T)
+}
+
+// runPoint simulates one point on an uncached engine.
+func runPoint(b *testing.B, spec vpr.RunSpec) vpr.Result {
+	b.Helper()
+	res, err := vpr.New(vpr.WithCache(0)).Run(context.Background(), spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 func BenchmarkTable2(b *testing.B) {
 	var imp float64
 	for i := 0; i < b.N; i++ {
-		res, err := vpr.RunTable2(benchOpts(), false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		imp = res.ImprovementPct
+		imp = runExperiment[vpr.Table2](b, "table2", benchOpts()).ImprovementPct
 	}
 	b.ReportMetric(imp, "improvement-%")
 }
@@ -38,10 +55,7 @@ func BenchmarkTable2(b *testing.B) {
 func BenchmarkFigure4(b *testing.B) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		sweep, err := vpr.RunFigure4(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		sweep := runExperiment[vpr.NRRSweep](b, "fig4", benchOpts())
 		mean = sweep.MeanSpeedupAt(len(sweep.NRRs) - 1)
 	}
 	b.ReportMetric(mean, "speedup-at-max-NRR")
@@ -50,10 +64,7 @@ func BenchmarkFigure4(b *testing.B) {
 func BenchmarkFigure5(b *testing.B) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		sweep, err := vpr.RunFigure5(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		sweep := runExperiment[vpr.NRRSweep](b, "fig5", benchOpts())
 		mean = sweep.MeanSpeedupAt(len(sweep.NRRs) - 1)
 	}
 	b.ReportMetric(mean, "speedup-at-max-NRR")
@@ -62,10 +73,7 @@ func BenchmarkFigure5(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	var wb, issue float64
 	for i := 0; i < b.N; i++ {
-		rows, err := vpr.RunFigure6(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExperiment[[]vpr.Fig6Row](b, "fig6", benchOpts())
 		wb, issue = 0, 0
 		for _, r := range rows {
 			wb += r.WritebackSpeedup
@@ -81,10 +89,7 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkFigure7(b *testing.B) {
 	var imp48, imp96 float64
 	for i := 0; i < b.N; i++ {
-		fig, err := vpr.RunFigure7(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig := runExperiment[vpr.Fig7](b, "fig7", benchOpts())
 		imp48 = fig.MeanImprovementAt(0)
 		imp96 = fig.MeanImprovementAt(2)
 	}
@@ -108,9 +113,7 @@ func BenchmarkAblationEarlyRelease(b *testing.B) {
 	opts := benchOpts()
 	opts.Workloads = []string{"compress", "swim"}
 	for i := 0; i < b.N; i++ {
-		if _, err := vpr.RunEarlyReleaseAblation(opts); err != nil {
-			b.Fatal(err)
-		}
+		runExperiment[[]vpr.AblationRow](b, "ablation-release", opts)
 	}
 }
 
@@ -118,9 +121,7 @@ func BenchmarkAblationDisambiguation(b *testing.B) {
 	opts := benchOpts()
 	opts.Workloads = []string{"compress", "vortex"}
 	for i := 0; i < b.N; i++ {
-		if _, err := vpr.RunDisambiguationAblation(opts); err != nil {
-			b.Fatal(err)
-		}
+		runExperiment[[]vpr.AblationRow](b, "ablation-disamb", opts)
 	}
 }
 
@@ -184,11 +185,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			cfg.Scheme = scheme
 			var committed int64
 			for i := 0; i < b.N; i++ {
-				res, err := vpr.Run(vpr.RunSpec{Workload: "compress", Config: cfg, MaxInstr: benchInstr})
-				if err != nil {
-					b.Fatal(err)
-				}
-				committed += res.Stats.Committed
+				committed += runPoint(b, vpr.RunSpec{Workload: "compress", Config: cfg, MaxInstr: benchInstr}).Stats.Committed
 			}
 			b.ReportMetric(float64(committed)/b.Elapsed().Seconds(), "instr/s")
 		})
@@ -207,25 +204,20 @@ func BenchmarkValueCheckOverhead(b *testing.B) {
 			cfg := vpr.DefaultConfig()
 			cfg.ValueCheck = check
 			for i := 0; i < b.N; i++ {
-				if _, err := vpr.Run(vpr.RunSpec{Workload: "swim", Config: cfg, MaxInstr: benchInstr}); err != nil {
-					b.Fatal(err)
-				}
+				runPoint(b, vpr.RunSpec{Workload: "swim", Config: cfg, MaxInstr: benchInstr})
 			}
 		})
 	}
 }
 
 // BenchmarkSMTScaling regenerates the future-work study (paper §5): the VP
-// advantage under a shared register file across thread counts.
+// advantage under a shared register file across thread counts (1, 2, 4).
 func BenchmarkSMTScaling(b *testing.B) {
 	opts := benchOpts()
 	opts.Workloads = []string{"hydro2d"}
 	var one, two float64
 	for i := 0; i < b.N; i++ {
-		rows, err := vpr.RunSMTScaling([]int{1, 2}, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := runExperiment[[]vpr.SMTRow](b, "smt", opts)
 		one, two = rows[0].ImprovementPct, rows[1].ImprovementPct
 	}
 	b.ReportMetric(one, "improvement-1T-%")

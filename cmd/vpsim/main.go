@@ -35,7 +35,7 @@ func main() {
 		nrr      = flag.Int("nrr", -1, "reserved registers (NRR); -1 means maximum (regs-32)")
 		instr    = flag.Int64("instr", 200000, "instructions to simulate")
 		penalty  = flag.Int("miss-penalty", 50, "cache miss penalty in cycles")
-		l2       = flag.Int("l2", 0, "finite L2 size in KB (0 = the paper's infinite L2)")
+		l2       = flag.Int("l2", 0, "finite L2 size in KB: a one-bank direct-mapped L2 whose hits cost -miss-penalty (0 = the paper's infinite L2)")
 		l2miss   = flag.Int("l2-miss-penalty", 150, "memory latency when the finite L2 also misses")
 		disamb   = flag.String("disamb", "speculative", "memory disambiguation: speculative, conservative")
 		early    = flag.Bool("early-release", false, "conventional scheme: enable the early-release ablation")
@@ -64,11 +64,6 @@ func main() {
 	cfg.Rename.NRRFP = *nrr
 	cfg.Rename.EarlyRelease = *early
 	cfg.Cache.MissPenalty = *penalty
-	if *l2 > 0 {
-		cfg.Cache.L2Enabled = true
-		cfg.Cache.L2SizeBytes = *l2 * 1024
-		cfg.Cache.L2MissPenalty = *l2miss
-	}
 	cfg.ValueCheck = *check
 	cfg.Debug = *debug
 	switch *disamb {
@@ -85,7 +80,27 @@ func main() {
 	defer stop()
 
 	eng := vpr.New(vpr.WithParallelism(1))
-	res, err := eng.Run(ctx, vpr.RunSpec{Workload: *workload, Config: cfg, MaxInstr: *instr})
+	var res vpr.Result
+	var err error
+	if *l2 > 0 {
+		// A finite L2 is the shared-L2 hierarchy behind a single core.
+		var mc vpr.MulticoreResult
+		mc, err = eng.RunMulticore(ctx, vpr.MulticoreSpec{
+			Workloads: []string{*workload},
+			Config:    cfg,
+			L2: vpr.L2Config{
+				Enabled:     true,
+				SizeBytes:   *l2 * 1024,
+				Banks:       1,
+				HitPenalty:  cfg.Cache.MissPenalty,
+				MissPenalty: *l2miss,
+			},
+			MaxInstrPerCore: *instr,
+		})
+		res = vpr.Result{Workload: *workload, Stats: mc.Stats, BHTAccuracy: mc.BHTAccuracy}
+	} else {
+		res, err = eng.Run(ctx, vpr.RunSpec{Workload: *workload, Config: cfg, MaxInstr: *instr})
+	}
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -123,6 +123,20 @@ func TestEngineRunExperiment(t *testing.T) {
 	}
 }
 
+// TestEngineRunBatchRejectsBadCacheGeometry: an L1 geometry the model
+// cannot index fails the batch with a validation error that names it,
+// instead of panicking inside a worker and taking every other spec — and
+// the process — down with it.
+func TestEngineRunBatchRejectsBadCacheGeometry(t *testing.T) {
+	bad := engineSpec("compress", vpr.SchemeConventional, 2000)
+	bad.Config.Cache.SizeBytes = 1000
+	specs := []vpr.RunSpec{engineSpec("compress", vpr.SchemeConventional, 2000), bad}
+	_, err := vpr.New(vpr.WithParallelism(2)).RunBatch(context.Background(), specs)
+	if err == nil || !strings.Contains(err.Error(), "L1 size 1000") {
+		t.Fatalf("err = %v, want the L1 geometry error", err)
+	}
+}
+
 func TestEngineRunExperimentUnknown(t *testing.T) {
 	_, err := vpr.New().RunExperiment(context.Background(), "nonesuch", vpr.ExperimentOptions{})
 	var ue *vpr.UnknownExperimentError

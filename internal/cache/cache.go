@@ -1,9 +1,15 @@
-// Package cache models the paper's lockup-free L1 data cache (Kroft [7]):
-// 16 KB direct-mapped with 32-byte lines, 2-cycle hit latency, a 50-cycle
-// miss penalty, up to 8 outstanding misses to distinct lines (MSHRs) with
-// secondary-miss merging, write-back + write-allocate, and a 64-bit bus to
-// an infinite L2 on which each line transfer (refill or dirty eviction)
-// occupies 4 cycles.
+// Package cache is the reference model of the paper's lockup-free L1 data
+// cache (Kroft [7]) over an infinite L2: 16 KB direct-mapped with 32-byte
+// lines, 2-cycle hit latency, a 50-cycle miss penalty, up to 8 outstanding
+// misses to distinct lines (MSHRs) with secondary-miss merging, write-back
+// + write-allocate, and a 64-bit bus to the L2 on which each line transfer
+// (refill or dirty eviction) occupies 4 cycles.
+//
+// The simulator itself runs internal/mem's L1 on every path; Cache stays
+// as the independent statement of the paper's timing that mem's
+// differential test (TestL1MatchesCacheInfinite) pins the L1 against.
+// Config, DefaultConfig and Outcome are the types the pipeline
+// configuration and the memory hierarchy share.
 //
 // The cache is driven lazily: every Access carries the current cycle, and
 // pending refills whose completion time has passed are installed before the
@@ -24,14 +30,6 @@ type Config struct {
 	MissPenalty      int // additional cycles after the hit latency
 	MSHRs            int
 	BusCyclesPerLine int
-
-	// The paper assumes an infinite L2 (every L1 miss costs MissPenalty).
-	// Setting L2Enabled models a finite direct-mapped L2 instead: L1
-	// misses that hit in L2 cost MissPenalty; those that miss both
-	// levels cost L2MissPenalty.
-	L2Enabled     bool
-	L2SizeBytes   int
-	L2MissPenalty int
 }
 
 // DefaultConfig is the paper's §4.1 configuration.
@@ -70,7 +68,6 @@ type mshr struct {
 type Cache struct {
 	cfg       Config
 	lines     []line
-	l2tags    []uint64 // finite-L2 option: tag per set, +1 (0 = invalid)
 	mshrs     []mshr
 	busFreeAt int64
 	lineShift uint
@@ -84,8 +81,6 @@ type Cache struct {
 	MSHRStalls   int64 // accesses rejected because every MSHR was busy
 	Evictions    int64 // dirty lines written back
 	PeakInFlight int
-	L2Hits       int64 // L1 misses that hit the finite L2
-	L2Misses     int64 // L1 misses that also missed the L2
 }
 
 // New builds a cache; the configuration must have power-of-two line size.
@@ -100,26 +95,13 @@ func New(cfg Config) *Cache {
 	for 1<<shift != cfg.LineBytes {
 		shift++
 	}
-	c := &Cache{
+	return &Cache{
 		cfg:       cfg,
 		lines:     make([]line, cfg.SizeBytes/cfg.LineBytes),
 		mshrs:     make([]mshr, cfg.MSHRs),
 		lineShift: shift,
 	}
-	if cfg.L2Enabled {
-		if cfg.L2SizeBytes < cfg.SizeBytes || cfg.L2SizeBytes%cfg.LineBytes != 0 {
-			panic("cache: L2 must be at least L1-sized and line-aligned")
-		}
-		if cfg.L2MissPenalty < cfg.MissPenalty {
-			panic("cache: L2 miss penalty below the L2 hit penalty")
-		}
-		c.l2tags = make([]uint64, cfg.L2SizeBytes/cfg.LineBytes)
-	}
-	return c
 }
-
-// Config returns the configuration the cache was built with.
-func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) lineAddr(addr uint64) uint64 { return addr >> c.lineShift }
 func (c *Cache) index(lineAddr uint64) int   { return int(lineAddr) & (len(c.lines) - 1) }
@@ -127,7 +109,6 @@ func (c *Cache) index(lineAddr uint64) int   { return int(lineAddr) & (len(c.lin
 // drain installs every refill that has completed by cycle now.
 func (c *Cache) drain(now int64) {
 	if now < c.now {
-		//vpr:allowalloc panic message: an invariant violation aborts the run
 		panic(fmt.Sprintf("cache: time went backwards (%d after %d)", now, c.now))
 	}
 	c.now = now
@@ -218,23 +199,8 @@ func (c *Cache) Access(now int64, addr uint64, write bool) (Outcome, bool) {
 		}
 		c.busFreeAt += int64(c.cfg.BusCyclesPerLine)
 		victim.dirty = false
-		if c.cfg.L2Enabled {
-			// The written-back victim lands in the L2.
-			c.l2tags[int(victim.tag)%len(c.l2tags)] = victim.tag + 1
-		}
 	}
-	penalty := c.cfg.MissPenalty
-	if c.cfg.L2Enabled {
-		set := int(la) % len(c.l2tags)
-		if c.l2tags[set] == la+1 {
-			c.L2Hits++
-		} else {
-			c.L2Misses++
-			penalty = c.cfg.L2MissPenalty
-			c.l2tags[set] = la + 1 // refill installs into L2 (inclusive)
-		}
-	}
-	ready := now + int64(c.cfg.HitLatency+penalty)
+	ready := now + int64(c.cfg.HitLatency+c.cfg.MissPenalty)
 	if b := c.busFreeAt + int64(c.cfg.BusCyclesPerLine); b > ready {
 		ready = b
 	}
@@ -269,16 +235,4 @@ func (c *Cache) MissRatio() float64 {
 		return 0
 	}
 	return float64(c.Misses+c.Merges) / float64(c.Accesses)
-}
-
-// DebugMSHRs returns the readyAt of each busy MSHR and the bus-free cycle
-// (temporary debugging aid).
-func (c *Cache) DebugMSHRs() ([]int64, int64) {
-	var out []int64
-	for i := range c.mshrs {
-		if c.mshrs[i].busy {
-			out = append(out, c.mshrs[i].readyAt)
-		}
-	}
-	return out, c.busFreeAt
 }

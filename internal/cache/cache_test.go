@@ -260,66 +260,3 @@ func TestQuickTimingInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestFiniteL2(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.L2Enabled = true
-	cfg.L2SizeBytes = 64 * 1024
-	cfg.L2MissPenalty = 150
-	c := New(cfg)
-
-	// First touch: misses both levels, pays the full memory latency.
-	out, _ := c.Access(0, 0x10000, false)
-	if out.ReadyAt != 2+150 {
-		t.Errorf("cold L2 miss ready at %d, want 152", out.ReadyAt)
-	}
-	if c.L2Misses != 1 || c.L2Hits != 0 {
-		t.Fatalf("L2 stats = %d/%d", c.L2Hits, c.L2Misses)
-	}
-	// Evict it from L1 via a 16 KB-conflicting line, then re-touch: the
-	// line is still in the 64 KB L2, so only the L2 hit penalty applies.
-	o2, _ := c.Access(200, 0x10000+16*1024, false)
-	o3, _ := c.Access(o2.ReadyAt, 0x10000, false)
-	if got := o3.ReadyAt - o2.ReadyAt; got != 2+50 {
-		t.Errorf("L2 hit latency = %d, want 52", got)
-	}
-	if c.L2Hits != 1 {
-		t.Errorf("L2 hits = %d, want 1", c.L2Hits)
-	}
-}
-
-func TestFiniteL2Conflicts(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.L2Enabled = true
-	cfg.L2SizeBytes = 32 * 1024
-	cfg.L2MissPenalty = 150
-	c := New(cfg)
-	// Two lines 32 KB apart conflict in the L2 as well: the second evicts
-	// the first from L2, so re-touching the first is a full miss again.
-	a, b := uint64(0x10000), uint64(0x10000+32*1024)
-	o, _ := c.Access(0, a, false)
-	o, _ = c.Access(o.ReadyAt, b, false)
-	now := o.ReadyAt
-	// Evict a from L1 (b and a already conflict there too: 16 KB apart
-	// twice over) — a was displaced by b in both levels.
-	o, _ = c.Access(now, a, false)
-	if got := o.ReadyAt - now; got != 2+150 {
-		t.Errorf("post-conflict re-touch = %d cycles, want full 152", got)
-	}
-	if c.L2Misses != 3 {
-		t.Errorf("L2 misses = %d, want 3", c.L2Misses)
-	}
-}
-
-func TestFiniteL2BadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("undersized L2 must panic")
-		}
-	}()
-	cfg := DefaultConfig()
-	cfg.L2Enabled = true
-	cfg.L2SizeBytes = 1024
-	cfg.L2MissPenalty = 150
-	New(cfg)
-}

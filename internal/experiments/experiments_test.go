@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // Small budgets keep these tests quick; the qualitative shape assertions
@@ -13,11 +15,26 @@ func quickOpts(workloads ...string) Options {
 	return Options{Instr: 30_000, Workloads: workloads}
 }
 
-func TestTable2Shape(t *testing.T) {
-	res, err := RunTable2(quickOpts("go", "compress", "swim", "hydro2d"), false)
+// runPlan executes a plan builder's output through Experiment.Run on a
+// fresh engine, the path every registry experiment takes, and returns the
+// reduced value. Calling the builders directly keeps the custom inputs
+// (thread counts, NRR sets, penalties) the registry entries fix.
+func runPlan[T any](t *testing.T, plan Plan, err error) T {
+	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
+	exp := Experiment{Name: t.Name(), Build: func(Options) (Plan, error) { return plan, nil }}
+	v, err := exp.Run(context.Background(), engine.New(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v.(T)
+}
+
+func TestTable2Shape(t *testing.T) {
+	plan, err := table2Plan(quickOpts("go", "compress", "swim", "hydro2d"), false)
+	res := runPlan[Table2](t, plan, err)
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -54,10 +71,8 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable2Penalty20ReducesGain(t *testing.T) {
-	res, err := RunTable2(quickOpts("swim", "mgrid"), true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan, err := table2Plan(quickOpts("swim", "mgrid"), true)
+	res := runPlan[Table2](t, plan, err)
 	if !res.HavePenalty20 {
 		t.Fatal("penalty-20 variant missing")
 	}
@@ -70,10 +85,8 @@ func TestTable2Penalty20ReducesGain(t *testing.T) {
 }
 
 func TestNRRSweepShape(t *testing.T) {
-	sweep, err := RunNRRSweep(core.SchemeVPWriteback, []int{1, 32}, quickOpts("compress", "swim"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan, err := nrrSweepPlan(core.SchemeVPWriteback, []int{1, 32}, quickOpts("compress", "swim"))
+	sweep := runPlan[NRRSweep](t, plan, err)
 	if len(sweep.Speedup["swim"]) != 2 || len(sweep.Speedup["compress"]) != 2 {
 		t.Fatalf("speedup vectors: %+v", sweep.Speedup)
 	}
@@ -101,10 +114,8 @@ func TestNRRSweepShape(t *testing.T) {
 }
 
 func TestFigure6WritebackBeatsIssue(t *testing.T) {
-	rows, err := RunFigure6(quickOpts("swim", "mgrid"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan, err := figure6Plan(quickOpts("swim", "mgrid"))
+	rows := runPlan[[]Fig6Row](t, plan, err)
 	for _, r := range rows {
 		if r.WritebackSpeedup <= r.IssueSpeedup {
 			t.Errorf("%s: write-back %.2f vs issue %.2f — the paper's figure 6 has write-back clearly ahead",
@@ -118,10 +129,8 @@ func TestFigure6WritebackBeatsIssue(t *testing.T) {
 }
 
 func TestFigure7Shape(t *testing.T) {
-	fig, err := RunFigure7(quickOpts("swim"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan, err := figure7Plan(quickOpts("swim"))
+	fig := runPlan[Fig7](t, plan, err)
 	cells := fig.Cells["swim"]
 	if len(cells) != 3 {
 		t.Fatalf("cells = %+v", cells)
@@ -153,10 +162,8 @@ func TestFigure7Shape(t *testing.T) {
 }
 
 func TestEarlyReleaseAblation(t *testing.T) {
-	rows, err := RunEarlyReleaseAblation(quickOpts("compress"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan, err := earlyReleasePlan(quickOpts("compress"))
+	rows := runPlan[[]AblationRow](t, plan, err)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %+v", rows)
 	}
@@ -184,10 +191,8 @@ func TestEarlyReleaseAblation(t *testing.T) {
 }
 
 func TestDisambiguationAblation(t *testing.T) {
-	rows, err := RunDisambiguationAblation(quickOpts("compress"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan, err := disambiguationPlan(quickOpts("compress"))
+	rows := runPlan[[]AblationRow](t, plan, err)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %+v", rows)
 	}
@@ -199,10 +204,8 @@ func TestDisambiguationAblation(t *testing.T) {
 }
 
 func TestRecoveryAblationPenaltyHurts(t *testing.T) {
-	rows, err := RunRecoveryAblation(quickOpts("go"), []int{0, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan, err := recoveryPlan(quickOpts("go"), []int{0, 16})
+	rows := runPlan[[]AblationRow](t, plan, err)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %+v", rows)
 	}
@@ -214,10 +217,8 @@ func TestRecoveryAblationPenaltyHurts(t *testing.T) {
 }
 
 func TestSplitNRRAblation(t *testing.T) {
-	rows, err := RunSplitNRRAblation(quickOpts("swim"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan, err := splitNRRPlan(quickOpts("swim"))
+	rows := runPlan[[]AblationRow](t, plan, err)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %+v", rows)
 	}
@@ -228,7 +229,7 @@ func TestSplitNRRAblation(t *testing.T) {
 }
 
 func TestUnknownWorkloadFails(t *testing.T) {
-	if _, err := RunTable2(quickOpts("nonesuch"), false); err == nil {
+	if _, err := table2Plan(quickOpts("nonesuch"), false); err == nil {
 		t.Error("unknown workload must fail")
 	}
 }
@@ -237,9 +238,8 @@ func TestProgressCallback(t *testing.T) {
 	var lines int
 	opts := quickOpts("compress")
 	opts.Progress = func(string, ...any) { lines++ }
-	if _, err := RunTable2(opts, false); err != nil {
-		t.Fatal(err)
-	}
+	plan, err := table2Plan(opts, false)
+	runPlan[Table2](t, plan, err)
 	if lines == 0 {
 		t.Error("progress callback never invoked")
 	}
@@ -247,10 +247,8 @@ func TestProgressCallback(t *testing.T) {
 
 func TestSMTScaling(t *testing.T) {
 	opts := quickOpts("hydro2d")
-	rows, err := RunSMTScaling([]int{1, 2}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan, err := smtScalingPlan([]int{1, 2}, opts)
+	rows := runPlan[[]SMTRow](t, plan, err)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %+v", rows)
 	}
@@ -270,10 +268,8 @@ func TestSMTScaling(t *testing.T) {
 }
 
 func TestLifetimeOrdering(t *testing.T) {
-	rows, err := RunLifetime(quickOpts("swim"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan, err := lifetimePlan(quickOpts("swim"))
+	rows := runPlan[[]LifetimeRow](t, plan, err)
 	byScheme := map[string]LifetimeRow{}
 	for _, r := range rows {
 		byScheme[r.Scheme] = r

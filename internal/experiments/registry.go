@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/sim"
 )
 
@@ -221,35 +220,4 @@ func ByName(name string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// runPlan executes a plan on a fresh default engine — the path the
-// deprecated free-function runners take. The engine uses the full machine
-// (GOMAXPROCS workers); caching is disabled because a single plan never
-// contains duplicate points and the engine does not outlive the call.
-func runPlan(plan Plan, err error) (any, error) {
-	if err != nil {
-		return nil, err
-	}
-	eng := engine.New(engine.WithCache(0))
-	ctx := context.Background()
-	runs, err := eng.RunBatch(ctx, plan.Specs)
-	if err != nil {
-		return nil, err
-	}
-	var smt []sim.SMTResult
-	if len(plan.SMT) > 0 {
-		smt, err = eng.RunSMTBatch(ctx, plan.SMT)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var mc []sim.MulticoreResult
-	if len(plan.Multicore) > 0 {
-		mc, err = eng.RunMulticoreBatch(ctx, plan.Multicore)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return plan.Reduce(runs, smt, mc)
 }

@@ -116,22 +116,21 @@ func TestPlanBuildingIsPure(t *testing.T) {
 	}
 }
 
-// TestExperimentRunRendersLikeLegacy: the registry path and the deprecated
-// free-function path produce identical renderings (they execute the same
-// plan).
-func TestExperimentRunRendersLikeLegacy(t *testing.T) {
+// TestExperimentRunRendersLikeBarePlan: the registry path renders exactly
+// what its plan builder produces when run on its own through the
+// test-local runPlan helper — the entry adds nothing but the name and
+// the renderer.
+func TestExperimentRunRendersLikeBarePlan(t *testing.T) {
 	opts := Options{Instr: 5_000, Workloads: []string{"swim"}}
 	exp, _ := ByName("fig7")
 	v, err := exp.Run(context.Background(), engine.New(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := RunFigure7(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := exp.Render(v), RenderFigure7(legacy); got != want {
-		t.Errorf("registry vs legacy rendering:\n--- registry ---\n%s--- legacy ---\n%s", got, want)
+	plan, err := figure7Plan(opts)
+	bare := runPlan[Fig7](t, plan, err)
+	if got, want := exp.Render(v), RenderFigure7(bare); got != want {
+		t.Errorf("registry vs bare-plan rendering:\n--- registry ---\n%s--- bare plan ---\n%s", got, want)
 	}
 	if !strings.Contains(exp.Render(v), "conv(48)") {
 		t.Errorf("fig7 rendering missing expected column:\n%s", exp.Render(v))

@@ -6,9 +6,8 @@ import (
 	"repro/internal/cache"
 )
 
-// L1Config sizes one core's lockup-free L1; the fields are the L1 subset
-// of cache.Config and L1FromCacheConfig carries a pipeline configuration
-// over.
+// L1Config sizes one core's lockup-free L1; it mirrors cache.Config field
+// for field, and L1FromCacheConfig carries a pipeline configuration over.
 type L1Config struct {
 	SizeBytes        int
 	LineBytes        int
@@ -18,18 +17,9 @@ type L1Config struct {
 	BusCyclesPerLine int // L1↔L2 bus occupancy per line transfer
 }
 
-// L1FromCacheConfig extracts the L1 geometry of a cache.Config (the L2
-// fields, if set, are superseded by the System's shared BankedL2).
-func L1FromCacheConfig(c cache.Config) L1Config {
-	return L1Config{
-		SizeBytes:        c.SizeBytes,
-		LineBytes:        c.LineBytes,
-		HitLatency:       c.HitLatency,
-		MissPenalty:      c.MissPenalty,
-		MSHRs:            c.MSHRs,
-		BusCyclesPerLine: c.BusCyclesPerLine,
-	}
-}
+// L1FromCacheConfig converts a pipeline's cache.Config into the L1
+// geometry (the two types have the same fields).
+func L1FromCacheConfig(c cache.Config) L1Config { return L1Config(c) }
 
 // Validate rejects geometries the model cannot index.
 func (c L1Config) Validate() error {

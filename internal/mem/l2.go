@@ -4,11 +4,10 @@ import (
 	"fmt"
 )
 
-// L2Config sizes the banked, finite, shared L2. It subsumes the old
-// cache.Config L2Enabled tag-array approximation: with Banks=1,
-// BankBusCycles=0, HitPenalty equal to the L1's MissPenalty and
-// MissPenalty equal to the old L2MissPenalty, the timing is cycle-exact
-// with that mode (a differential test pins this).
+// L2Config sizes the banked, finite, shared L2. With Banks=1,
+// BankBusCycles=0 and HitPenalty equal to the L1's MissPenalty it is a
+// private direct-mapped finite L2 behind one core, the machine vpsim -l2
+// runs.
 //
 //vpr:cachekey
 type L2Config struct {
@@ -233,8 +232,8 @@ func (c *BankedL2) attachPorts(ports []*L1, proto Protocol, dirKind string) erro
 // hashed back down before indexing — without this, cores running
 // identical workloads in lockstep would land in the same bank+set and
 // evict each other's lines on every fetch. Namespace-free addresses
-// (single core, base-0 L1s, and therefore the cache.Config L2Enabled
-// equivalence) index exactly as a plain modulo. Tags always compare the
+// (single core, base-0 L1s, and therefore the pinned one-bank private-L2
+// configuration) index exactly as a plain modulo. Tags always compare the
 // full line address, so the hash can never cause a false hit.
 func (c *BankedL2) bankOf(lineAddr uint64) (*bank, int) {
 	h := lineAddr

@@ -6,11 +6,11 @@
 // runner.
 //
 // The paper's own configuration — one core, lockup-free L1 over an
-// infinite L2 — stays on internal/cache as the single-core fast path;
-// Single adapts it to the Memory interface so the pipeline is agnostic.
-// The L1 here is a line-for-line port of cache.Cache with the next level
-// abstracted, and a differential test pins the two against each other on
-// randomized access streams.
+// infinite L2 — is an L1 with no next level (NewL1(cfg, nil)); every run
+// path, single-core, SMT and multi-core, drives this one L1 model. It is
+// a line-for-line port of internal/cache's reference Cache with the next
+// level abstracted, and a differential test pins the two against each
+// other on randomized access streams.
 //
 // When a System is built coherent, the BankedL2 additionally runs a
 // directory under a pluggable invalidation protocol (protocol.go: MSI,
@@ -67,10 +67,9 @@ type Memory interface {
 }
 
 // Stats are the counters a Memory accumulates. The L1 fields mirror
-// cache.Cache's; the L2 fields describe the next level — the private
-// finite L2 of the single-core fast path, or a core's share of the banked
-// shared L2 (zero on L1 ports of a System: the shared counters are
-// reported once, by the System, so aggregates never double-count).
+// cache.Cache's; the L2 fields describe the banked shared L2, and are zero
+// on the L1 ports themselves: a System reports the shared counters once,
+// so aggregates never double-count.
 //
 //vpr:stats
 type Stats struct {
@@ -136,40 +135,4 @@ func (s *Stats) Add(other Stats) {
 	s.L2OwnerForwards += other.L2OwnerForwards
 	s.L2DirOverflows += other.L2DirOverflows
 	s.L2DirBroadcasts += other.L2DirBroadcasts
-}
-
-// Single adapts the original single-core cache.Cache (infinite L2, or the
-// private finite-L2 tag-array approximation) to the Memory interface —
-// the paper's configuration and the default fast path.
-type Single struct{ C *cache.Cache }
-
-// NewSingle wraps an existing cache.
-func NewSingle(c *cache.Cache) Single { return Single{C: c} }
-
-// Access implements Memory.
-//
-//vpr:hotpath
-func (s Single) Access(now int64, addr uint64, write bool) (cache.Outcome, bool) {
-	return s.C.Access(now, addr, write)
-}
-
-// Drain implements Memory.
-//
-//vpr:hotpath
-func (s Single) Drain(now int64) { s.C.Drain(now) }
-
-// Stats implements Memory.
-func (s Single) Stats() Stats {
-	return Stats{
-		Accesses:     s.C.Accesses,
-		Hits:         s.C.Hits,
-		Misses:       s.C.Misses,
-		Merges:       s.C.Merges,
-		MSHRStalls:   s.C.MSHRStalls,
-		Evictions:    s.C.Evictions,
-		PeakInFlight: s.C.PeakInFlight,
-		L2Fetches:    s.C.L2Hits + s.C.L2Misses,
-		L2Hits:       s.C.L2Hits,
-		L2Misses:     s.C.L2Misses,
-	}
 }

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"hash"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -46,24 +48,32 @@ func TestL1MatchesCacheInfinite(t *testing.T) {
 }
 
 // TestL1MatchesCacheFiniteL2 pins the L1 + single-bank BankedL2 (bank bus
-// disabled) against cache.Cache's private finite-L2 tag-array mode — the
-// configuration the banked L2 subsumes.
+// disabled) — the private finite L2 behind one core — against the
+// private-L2 tag-array mode cache.Cache used to carry. That mode is gone;
+// the values below were captured from it on these exact streams (64 KB
+// L2, 100-cycle memory latency): its L2 hit and miss counts, and the
+// FNV-1a hash of every access outcome (see outcomeHash). The banked L2
+// must keep reproducing them.
 func TestL1MatchesCacheFiniteL2(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		oldCfg := cache.DefaultConfig()
-		oldCfg.L2Enabled = true
-		oldCfg.L2SizeBytes = 64 * 1024
-		oldCfg.L2MissPenalty = 100
-		c := cache.New(oldCfg)
-
+	pins := []struct {
+		l2Hits, l2Misses int64
+		outcomes         uint64
+	}{
+		{275, 2060, 0x739187533f3daf62},
+		{249, 2106, 0xfc11da8d89c6116f},
+		{270, 2074, 0x2598b8401b32cb4e},
+		{275, 2056, 0xe13ce4ab2c93af1e},
+	}
+	for i, pin := range pins {
+		seed := int64(i + 1)
 		l2, err := NewBankedL2(L2Config{
 			Enabled:       true,
 			SizeBytes:     64 * 1024,
 			Banks:         1,
-			HitPenalty:    oldCfg.MissPenalty,
-			MissPenalty:   oldCfg.L2MissPenalty,
+			HitPenalty:    l1cfg().MissPenalty,
+			MissPenalty:   100,
 			BankBusCycles: 0,
-		}, oldCfg.LineBytes)
+		}, l1cfg().LineBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,20 +81,52 @@ func TestL1MatchesCacheFiniteL2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareStreams(t, seed, c, l1)
-		if c.L2Hits != l2.Hits || c.L2Misses != l2.Misses {
-			t.Fatalf("seed %d: L2 counters diverge: cache %d/%d vs banked %d/%d",
-				seed, c.L2Hits, c.L2Misses, l2.Hits, l2.Misses)
+		h := fnv.New64a()
+		for _, a := range randomStream(seed) {
+			out, ok := l1.Access(a.now, a.addr, a.write)
+			outcomeHash(h, out, ok)
+		}
+		if h.Sum64() != pin.outcomes {
+			t.Errorf("seed %d: outcome hash %#x, want %#x", seed, h.Sum64(), pin.outcomes)
+		}
+		if l2.Hits != pin.l2Hits || l2.Misses != pin.l2Misses {
+			t.Errorf("seed %d: L2 hits/misses %d/%d, want %d/%d",
+				seed, l2.Hits, l2.Misses, pin.l2Hits, pin.l2Misses)
 		}
 	}
 }
 
-// compareStreams drives both hierarchies with an identical randomized
-// access stream — hot and cold lines, reads and writes, idle gaps — and
-// fails on the first divergent outcome.
-func compareStreams(t *testing.T, seed int64, c *cache.Cache, l1 *L1) {
-	t.Helper()
+// outcomeHash folds one access outcome into h: ReadyAt little-endian,
+// then a flag byte (hit, merged, accepted).
+func outcomeHash(h hash.Hash64, out cache.Outcome, ok bool) {
+	var b [9]byte
+	for k := 0; k < 8; k++ {
+		b[k] = byte(out.ReadyAt >> (8 * k))
+	}
+	if out.Hit {
+		b[8] |= 1
+	}
+	if out.Merged {
+		b[8] |= 2
+	}
+	if ok {
+		b[8] |= 4
+	}
+	h.Write(b[:])
+}
+
+// streamAccess is one element of a randomized access stream.
+type streamAccess struct {
+	now   int64
+	addr  uint64
+	write bool
+}
+
+// randomStream is the seed's randomized access stream: hot and cold
+// lines, reads and writes, idle gaps.
+func randomStream(seed int64) []streamAccess {
 	rng := rand.New(rand.NewSource(seed))
+	stream := make([]streamAccess, 0, 20_000)
 	now := int64(0)
 	for i := 0; i < 20_000; i++ {
 		now += int64(rng.Intn(4))
@@ -97,12 +139,21 @@ func compareStreams(t *testing.T, seed int64, c *cache.Cache, l1 *L1) {
 		default: // cold streaming
 			addr = uint64(1<<24) + uint64(i)*32
 		}
-		write := rng.Intn(4) == 0
-		wantOut, wantOK := c.Access(now, addr, write)
-		gotOut, gotOK := l1.Access(now, addr, write)
+		stream = append(stream, streamAccess{now, addr, rng.Intn(4) == 0})
+	}
+	return stream
+}
+
+// compareStreams drives both hierarchies with the seed's randomized
+// access stream and fails on the first divergent outcome.
+func compareStreams(t *testing.T, seed int64, c *cache.Cache, l1 *L1) {
+	t.Helper()
+	for i, a := range randomStream(seed) {
+		wantOut, wantOK := c.Access(a.now, a.addr, a.write)
+		gotOut, gotOK := l1.Access(a.now, a.addr, a.write)
 		if wantOut != gotOut || wantOK != gotOK {
 			t.Fatalf("seed %d access %d (now %d addr %#x write %v): cache (%+v,%v) vs L1 (%+v,%v)",
-				seed, i, now, addr, write, wantOut, wantOK, gotOut, gotOK)
+				seed, i, a.now, a.addr, a.write, wantOut, wantOK, gotOut, gotOK)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
 
 // Disambiguation selects the memory-ordering policy for loads.
@@ -160,7 +161,7 @@ func (c Config) Validate() error {
 	case c.DeadlockCycles <= 0:
 		return fmt.Errorf("pipeline: deadlock threshold must be positive")
 	}
-	return nil
+	return mem.L1FromCacheConfig(c.Cache).Validate()
 }
 
 // poolFor maps an opcode's FU kind onto the configured unit pools.

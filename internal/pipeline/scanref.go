@@ -30,7 +30,7 @@ import (
 
 // newScanSMT builds a simulator running the scan reference kernel.
 func newScanSMT(cfg Config, gens []trace.Generator) (*Sim, error) {
-	return newSMT(cfg, gens, true)
+	return newSMTMem(cfg, gens, true, nil)
 }
 
 func (s *Sim) writebackScan(now int64) error {

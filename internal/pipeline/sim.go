@@ -64,16 +64,15 @@ import (
 	"time"
 
 	"repro/internal/bpred"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
-// Memory is the port into the data memory hierarchy a Sim drives: the
-// wrapped single-core cache by default, or one L1 of a shared mem.System
-// under the Multicore runner.
+// Memory is the port into the data memory hierarchy a Sim drives: a
+// private mem.L1 over the paper's infinite L2 by default, or one L1 of a
+// shared mem.System under the Multicore runner.
 type Memory = mem.Memory
 
 type state uint8
@@ -348,25 +347,25 @@ func New(cfg Config, gen trace.Generator) (*Sim, error) {
 // are shared, so cfg.Rename.PhysRegs must cover every thread's
 // architectural registers plus headroom for renaming.
 func NewSMT(cfg Config, gens []trace.Generator) (*Sim, error) {
-	return newSMT(cfg, gens, false)
-}
-
-// newSMT builds the default memory hierarchy — the paper's single
-// lockup-free cache, wrapped for the Memory interface. (newSMTMem
-// validates the configuration; cache geometry errors panic in cache.New,
-// as they always have.)
-func newSMT(cfg Config, gens []trace.Generator, scan bool) (*Sim, error) {
-	return newSMTMem(cfg, gens, scan, mem.NewSingle(cache.New(cfg.Cache)))
+	return newSMTMem(cfg, gens, false, nil)
 }
 
 // newSMTMem is the shared constructor; scan selects the pre-refactor
 // full-window-scan reference kernel (differential tests only; compiled
 // under the scanoracle build tag) and m is the core's port into the data
 // memory hierarchy (the Multicore runner passes one L1 of a shared
-// mem.System).
+// mem.System). A nil m builds the paper's hierarchy: a private L1 over
+// an infinite L2.
 func newSMTMem(cfg Config, gens []trace.Generator, scan bool, m Memory) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if m == nil {
+		l1, err := mem.NewL1(mem.L1FromCacheConfig(cfg.Cache), nil)
+		if err != nil {
+			return nil, err
+		}
+		m = l1
 	}
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("pipeline: need at least one trace")

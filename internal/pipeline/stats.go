@@ -37,10 +37,9 @@ type Stats struct {
 	MSHRStallCycles int64
 	PeakMSHRs       int
 
-	// Second level (zero on the paper's infinite-L2 machine): the private
-	// finite L2 of cache.Config.L2Enabled, or this core's view of the
-	// banked shared L2 under the Multicore runner (shared counters are
-	// folded in once, by Multicore.Aggregate, not per core).
+	// Second level (zero on the paper's infinite-L2 machine): the banked
+	// shared L2 of the Multicore runner, whose counters are folded in
+	// once, by Multicore.Aggregate, not per core.
 	L2Fetches   int64 // L1 misses presented to the L2 (hits+misses+merges)
 	L2Hits      int64
 	L2Misses    int64

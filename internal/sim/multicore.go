@@ -93,6 +93,9 @@ type MulticoreResult struct {
 	Stats pipeline.Stats
 	// PerCore holds each core's own statistics (local L1 counters only).
 	PerCore []pipeline.Stats
+	// BHTAccuracy is the fraction of every core's resolved conditional
+	// branches its branch predictor got right (1 if none resolved).
+	BHTAccuracy float64
 }
 
 // RunMulticore executes the specification and runs every core to
@@ -138,9 +141,15 @@ func RunMulticoreContext(ctx context.Context, spec MulticoreSpec) (MulticoreResu
 	if err != nil {
 		return MulticoreResult{}, fmt.Errorf("sim: multicore %v: %w", spec.Workloads, err)
 	}
-	out := MulticoreResult{Stats: agg}
+	out := MulticoreResult{Stats: agg, BHTAccuracy: 1}
+	var lookups, correct int64
 	for i := 0; i < mc.Cores(); i++ {
 		out.PerCore = append(out.PerCore, mc.CoreStats(i))
+		lookups += mc.Core(i).BHT().Lookups
+		correct += mc.Core(i).BHT().Correct
+	}
+	if lookups > 0 {
+		out.BHTAccuracy = float64(correct) / float64(lookups)
 	}
 	return out, nil
 }

@@ -10,10 +10,10 @@ import (
 
 // TestRunMulticoreFacadeMatchesSingleCore: through the public API, a
 // 1-core multi-core run with the shared L2 disabled is the paper's
-// machine — architecturally byte-identical to vpr.Run on the same point.
+// machine — architecturally byte-identical to Engine.Run on the same point.
 func TestRunMulticoreFacadeMatchesSingleCore(t *testing.T) {
 	cfg := vpr.DefaultConfig()
-	single, err := vpr.Run(vpr.RunSpec{Workload: "compress", Config: cfg, MaxInstr: 5_000})
+	single, err := vpr.New().Run(context.Background(), vpr.RunSpec{Workload: "compress", Config: cfg, MaxInstr: 5_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,6 +31,9 @@ func TestRunMulticoreFacadeMatchesSingleCore(t *testing.T) {
 	}
 	if len(mc.PerCore) != 1 || mc.PerCore[0].Arch() != single.Stats.Arch() {
 		t.Error("per-core stats must match the single-core run")
+	}
+	if mc.BHTAccuracy != single.BHTAccuracy {
+		t.Errorf("BHT accuracy %v, want the single-core run's %v", mc.BHTAccuracy, single.BHTAccuracy)
 	}
 }
 

@@ -335,17 +335,6 @@ func (e *Engine) RunExperiment(ctx context.Context, name string, opts Experiment
 	return ExperimentResult{Name: name, Value: v, Text: exp.Render(v)}, nil
 }
 
-// Run simulates one point on a throwaway engine.
-//
-// Deprecated: construct an Engine with New and use Engine.Run, which adds
-// context cancellation and result caching.
-func Run(spec RunSpec) (Result, error) { return sim.Run(spec) }
-
-// RunSMT simulates one multithreaded machine on a throwaway engine.
-//
-// Deprecated: construct an Engine with New and use Engine.RunSMT.
-func RunSMT(spec SMTSpec) (SMTResult, error) { return sim.RunSMT(spec) }
-
 // RunMulticore simulates one multi-core machine synchronously: N
 // single-thread cores with private L1s behind the banked shared L2,
 // stepped in cycle-lockstep. For batches, cancellation and result
@@ -481,72 +470,6 @@ type MulticoreRow = experiments.MulticoreRow
 // coherence on/off on the sharing-heavy synthetic workload, with a
 // namespaced zero-invalidation control).
 type CoherenceRow = experiments.CoherenceRow
-
-// RunTable2 reproduces Table 2 (conventional vs VP write-back at 64
-// registers, max NRR), optionally with the 20-cycle miss-penalty footnote.
-//
-// Deprecated: use Engine.RunExperiment(ctx, "table2", opts) instead.
-func RunTable2(opts ExperimentOptions, withPenalty20 bool) (Table2, error) {
-	return experiments.RunTable2(opts, withPenalty20)
-}
-
-// RunFigure4 reproduces figure 4 (VP write-back speedup across NRR).
-//
-// Deprecated: use Engine.RunExperiment(ctx, "fig4", opts) instead.
-func RunFigure4(opts ExperimentOptions) (NRRSweep, error) {
-	return experiments.RunNRRSweep(core.SchemeVPWriteback, nil, opts)
-}
-
-// RunFigure5 reproduces figure 5 (VP issue-allocation speedup across NRR).
-//
-// Deprecated: use Engine.RunExperiment(ctx, "fig5", opts) instead.
-func RunFigure5(opts ExperimentOptions) (NRRSweep, error) {
-	return experiments.RunNRRSweep(core.SchemeVPIssue, nil, opts)
-}
-
-// RunFigure6 reproduces figure 6 (write-back vs issue at NRR=32).
-//
-// Deprecated: use Engine.RunExperiment(ctx, "fig6", opts) instead.
-func RunFigure6(opts ExperimentOptions) ([]Fig6Row, error) {
-	return experiments.RunFigure6(opts)
-}
-
-// RunFigure7 reproduces figure 7 (register-count sweep 48/64/96).
-//
-// Deprecated: use Engine.RunExperiment(ctx, "fig7", opts) instead.
-func RunFigure7(opts ExperimentOptions) (Fig7, error) {
-	return experiments.RunFigure7(opts)
-}
-
-// Ablation runners.
-//
-// Deprecated: use Engine.RunExperiment with "ablation-release",
-// "ablation-disamb", "ablation-recovery" or "ablation-nrr-split" instead.
-var (
-	RunEarlyReleaseAblation   = experiments.RunEarlyReleaseAblation
-	RunDisambiguationAblation = experiments.RunDisambiguationAblation
-	RunRecoveryAblation       = experiments.RunRecoveryAblation
-	RunSplitNRRAblation       = experiments.RunSplitNRRAblation
-)
-
-// RunLifetime measures how long each scheme holds physical registers —
-// the experimental counterpart of the §3.1 analytic example.
-//
-// Deprecated: use Engine.RunExperiment(ctx, "lifetime", opts) instead.
-func RunLifetime(opts ExperimentOptions) ([]LifetimeRow, error) {
-	return experiments.RunLifetime(opts)
-}
-
-// RunSMTScaling realizes the paper's §5 future-work prediction across
-// thread counts (default 1, 2, 4): the virtual-physical advantage under a
-// shared register file.
-//
-// Deprecated: use Engine.RunExperiment(ctx, "smt", opts) instead (note:
-// the registry entry defaults to a representative workload subset; this
-// wrapper defaults to the full catalog).
-func RunSMTScaling(threadCounts []int, opts ExperimentOptions) ([]SMTRow, error) {
-	return experiments.RunSMTScaling(threadCounts, opts)
-}
 
 // Renderers that format experiment results in the paper's row/series shape.
 var (
