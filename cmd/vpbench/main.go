@@ -11,12 +11,12 @@
 //     through Engine.RunBatch at parallelism 1 and GOMAXPROCS, the number
 //     `vptables -exp all` effectively pays.
 //
-// The multicore and coherence points carry lockstep-vs-parallel twins and
-// a GOMAXPROCS sweep (1 vs NumCPU) so the parallel stepper's speedup is
-// recorded against measured host parallelism, not assumed. -repeat N
-// reruns each measured point and keeps the best throughput (architectural
-// fields are cross-checked for equality across repeats), and -cpuprofile/
-// -memprofile capture pprof profiles of the whole run (make profile).
+// The multicore and coherence points record the lockstep multi-core
+// runner on a catalog kernel and on the sharing-heavy synthetic stream.
+// -repeat N reruns each measured point and keeps the best throughput
+// (architectural fields are cross-checked for equality across repeats),
+// and -cpuprofile/-memprofile capture pprof profiles of the whole run
+// (make profile).
 package main
 
 import (
@@ -46,58 +46,26 @@ type schemePoint struct {
 	AllocsPerInstr float64 `json:"allocs_per_instr"`
 }
 
-// gateCounters records what the parallel stepper's wait ladder did during
-// a point (pipeline.Stats Gate*/Pacing*): how often the memory gate and
-// the pacing window actually blocked, and whether the waits were spent
-// spinning, yielding, or parked. All zero on lockstep points; host
-// scheduling determines the values, so twins are not expected to match
-// on these.
-type gateCounters struct {
-	GateWaits   int64 `json:"gate_waits"`
-	PacingWaits int64 `json:"pacing_waits"`
-	GateSpins   int64 `json:"gate_spins"`
-	GateYields  int64 `json:"gate_yields"`
-	GateParks   int64 `json:"gate_parks"`
-}
-
-func countersOf(s vpr.Stats) gateCounters {
-	return gateCounters{
-		GateWaits:   s.GateWaits,
-		PacingWaits: s.PacingWaits,
-		GateSpins:   s.GateSpins,
-		GateYields:  s.GateYields,
-		GateParks:   s.GateParks,
-	}
-}
-
 // multicorePoint records the multi-core runner's throughput: N cores
-// behind the banked shared L2, stepped in the recorded mode. The CI
-// bench smoke fails if this point is missing from the report.
+// behind the banked shared L2. The CI bench smoke fails if this point is
+// missing from the report.
 type multicorePoint struct {
-	Workload    string `json:"workload"`
-	Cores       int    `json:"cores"`
-	L2SizeBytes int    `json:"l2_size_bytes"`
-	L2Banks     int    `json:"l2_banks"`
-	// Step is the stepping mode the point ran under ("lockstep",
-	// "parallel", "skew:W"); GoMaxProcs is the host parallelism it had
-	// available. Stats are bit-identical across modes — only
-	// instrs_per_sec moves, and only when go_max_procs > 1.
-	Step           string  `json:"step"`
-	GoMaxProcs     int     `json:"go_max_procs"`
+	Workload       string  `json:"workload"`
+	Cores          int     `json:"cores"`
+	L2SizeBytes    int     `json:"l2_size_bytes"`
+	L2Banks        int     `json:"l2_banks"`
 	Instr          int64   `json:"instr"` // committed, aggregate
 	IPC            float64 `json:"ipc"`   // aggregate
 	InstrsPerSec   float64 `json:"instrs_per_sec"`
 	AllocsPerInstr float64 `json:"allocs_per_instr"`
 	L2MissRatio    float64 `json:"l2_miss_ratio"`
-	gateCounters
 }
 
 // coherencePoint records the coherent multicore runner's throughput and
 // invalidation traffic on the sharing-heavy synthetic workload: cores in
 // one address space with the directory on, under the recorded protocol.
 // The CI bench smoke fails if this point is missing, lacks its protocol
-// name, or shows no invalidations, and cross-checks the lockstep and
-// parallel variants for identical deterministic fields.
+// name, or shows no invalidations.
 type coherencePoint struct {
 	Workload string `json:"workload"`
 	Cores    int    `json:"cores"`
@@ -106,8 +74,6 @@ type coherencePoint struct {
 	// fullmap).
 	Protocol          string  `json:"protocol"`
 	Directory         string  `json:"directory,omitempty"`
-	Step              string  `json:"step"`
-	GoMaxProcs        int     `json:"go_max_procs"`
 	Instr             int64   `json:"instr"` // committed, aggregate
 	IPC               float64 `json:"ipc"`   // aggregate
 	InstrsPerSec      float64 `json:"instrs_per_sec"`
@@ -118,7 +84,6 @@ type coherencePoint struct {
 	WritebackForwards int64   `json:"l2_writeback_forwards"`
 	OwnerForwards     int64   `json:"l2_owner_forwards"`
 	SilentUpgrades    int64   `json:"silent_upgrades"`
-	gateCounters
 }
 
 type harnessTiming struct {
@@ -134,34 +99,22 @@ type harnessTiming struct {
 type report struct {
 	Schema    string `json:"schema"`
 	Generated string `json:"generated"`
-	// GoMaxProcs is the harness's ambient GOMAXPROCS; NumCPU the host's
-	// processor count (the sweep and the CI speedup gate key on it:
-	// GOMAXPROCS can be forced above 1 on a single-CPU host, but real
-	// parallel speedup needs num_cpu > 1).
-	GoMaxProcs int           `json:"go_max_procs"`
-	NumCPU     int           `json:"num_cpu"`
-	Repeat     int           `json:"repeat"`
-	Schemes    []schemePoint `json:"schemes"`
-	// Multicore/Coherence run the serial lockstep oracle; the *_parallel
-	// twins rerun the identical spec under the concurrent stepper (-step,
-	// default skew:64). Deterministic fields must match pairwise; the
-	// instrs_per_sec ratio is the recorded parallel-stepping speedup.
-	Multicore         multicorePoint `json:"multicore"`
-	MulticoreParallel multicorePoint `json:"multicore_parallel"`
-	Coherence         coherencePoint `json:"coherence"`
-	CoherenceParallel coherencePoint `json:"coherence_parallel"`
+	// GoMaxProcs is the harness's ambient GOMAXPROCS (the parallel
+	// harness timing runs that many workers); NumCPU the host's processor
+	// count.
+	GoMaxProcs int            `json:"go_max_procs"`
+	NumCPU     int            `json:"num_cpu"`
+	Repeat     int            `json:"repeat"`
+	Schemes    []schemePoint  `json:"schemes"`
+	Multicore  multicorePoint `json:"multicore"`
+	Coherence  coherencePoint `json:"coherence"`
 	// CoherenceMOESI is the lockstep Coherence point rerun under MOESI on
 	// the identical workload: the Owned state converts read-triggered L2
 	// write-back forwards into cache-to-cache owner forwards, so its
 	// l2_writeback_forwards must come in strictly below the MSI twin's
 	// (CI-enforced) — the protocol refactor's measured payoff.
 	CoherenceMOESI coherencePoint `json:"coherence_moesi"`
-	// Sweep reruns the coherence twins with GOMAXPROCS forced to 1 and
-	// to NumCPU (when they differ), so BENCH_pipeline.json always holds
-	// a go_max_procs>1 twin pair and the speedup trend over host
-	// parallelism is recorded, not extrapolated.
-	Sweep   []coherencePoint `json:"gomaxprocs_sweep"`
-	Harness harnessTiming    `json:"harness"`
+	Harness        harnessTiming  `json:"harness"`
 }
 
 func main() {
@@ -177,7 +130,6 @@ func main() {
 		coh        = flag.Bool("coherence", false, "run the generic multicore point with one shared address space and the coherence directory on (the dedicated coherence points always do)")
 		protoFlag  = flag.String("protocol", "", "coherence protocol for the coherence points: msi (default), mesi, or moesi (the coherence_moesi point always runs moesi)")
 		dirFlag    = flag.String("dir", "", "coherence directory representation for the coherence points: fullmap (default) or limited[:N]")
-		stepFlag   = flag.String("step", "skew:64", "stepping mode for the *_parallel points: parallel or skew:W (the base points always run lockstep)")
 		repeat     = flag.Int("repeat", 1, "repeats per measured point; the best throughput is kept and architectural stats are cross-checked for equality")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile (after GC) to this file")
@@ -189,11 +141,6 @@ func main() {
 	}
 	if *repeat < 1 {
 		fmt.Fprintf(os.Stderr, "vpbench: -repeat must be at least 1, have %d\n", *repeat)
-		os.Exit(1)
-	}
-	step, err := vpr.ParseStepMode(*stepFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vpbench: -step: %v\n", err)
 		os.Exit(1)
 	}
 	if _, err := vpr.CoherenceProtocolByName(*protoFlag); err != nil {
@@ -235,6 +182,7 @@ func main() {
 	}
 	var cpuFile *os.File
 	if *cpuprofile != "" {
+		var err error
 		cpuFile, err = os.Create(*cpuprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "vpbench: -cpuprofile:", err)
@@ -245,7 +193,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	runErr := run(*out, *instr, *gridInstr, strings.Split(*wls, ","), policies, *cores, l2, *coh, *protoFlag, *dirFlag, step, *repeat)
+	runErr := run(*out, *instr, *gridInstr, strings.Split(*wls, ","), policies, *cores, l2, *coh, *protoFlag, *dirFlag, *repeat)
 	if cpuFile != nil {
 		pprof.StopCPUProfile()
 		if err := cpuFile.Close(); err != nil {
@@ -277,15 +225,6 @@ func main() {
 	}
 }
 
-// stepName spells a step mode for the report; the zero mode is recorded
-// under its canonical name.
-func stepName(m vpr.StepMode) string {
-	if m == "" {
-		return string(vpr.StepLockstep)
-	}
-	return string(m)
-}
-
 // bestOf runs once() n times and keeps the result with the best
 // throughput — the run least disturbed by host noise, the benchmarking
 // convention — while cross-checking that the architectural view
@@ -312,14 +251,12 @@ func bestOf(n int, once func() (vpr.Stats, float64, error)) (vpr.Stats, float64,
 }
 
 // measureMulticore runs one multi-core point — the same workload on every
-// core, stepped in the given mode — bracketed by MemStats reads,
-// returning the aggregate stats and the host heap allocations per
-// committed instruction. All recorded multicore points share this
-// measurement protocol, and none go through the engine cache, so a
-// lockstep point and its parallel twin are both honestly recomputed
-// in-process.
+// core — bracketed by MemStats reads, returning the aggregate stats and
+// the host heap allocations per committed instruction. All recorded
+// multicore points share this measurement protocol, and none go through
+// the engine cache, so every point is honestly recomputed in-process.
 func measureMulticore(wl string, policies vpr.Policies, cores int, l2 vpr.L2Config,
-	coherent bool, proto, dir string, instr int64, step vpr.StepMode) (vpr.Stats, float64, error) {
+	coherent bool, proto, dir string, instr int64) (vpr.Stats, float64, error) {
 	cfg := vpr.DefaultConfig()
 	cfg.Policies = policies
 	names := make([]string, cores)
@@ -333,7 +270,6 @@ func measureMulticore(wl string, policies vpr.Policies, cores int, l2 vpr.L2Conf
 		SharedAddressSpace: coherent,
 		Coherence:          coherent,
 		MaxInstrPerCore:    instr / int64(cores),
-		Step:               step,
 	}
 	if coherent {
 		spec.Protocol, spec.Directory = proto, dir
@@ -350,9 +286,9 @@ func measureMulticore(wl string, policies vpr.Policies, cores int, l2 vpr.L2Conf
 }
 
 func run(out string, instr, gridInstr int64, workloads []string, policies vpr.Policies,
-	cores int, l2 vpr.L2Config, coherentMC bool, proto, dir string, step vpr.StepMode, repeat int) error {
+	cores int, l2 vpr.L2Config, coherentMC bool, proto, dir string, repeat int) error {
 	rep := report{
-		Schema:     "vpr-bench/v2",
+		Schema:     "vpr-bench/v3",
 		Generated:  time.Now().UTC().Format(time.RFC3339),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
@@ -397,55 +333,39 @@ func run(out string, instr, gridInstr int64, workloads []string, policies vpr.Po
 		}
 	}
 
-	// Multicore points: N cores behind the banked shared L2, once under
-	// the serial lockstep oracle (the throughput the multicore experiment
-	// pays per point) and once under the concurrent stepper.
-	mcPoint := func(mode vpr.StepMode) (multicorePoint, error) {
-		wl := workloads[0]
-		st, allocs, err := bestOf(repeat, func() (vpr.Stats, float64, error) {
-			return measureMulticore(wl, policies, cores, l2, coherentMC, proto, dir, instr, mode)
-		})
-		if err != nil {
-			return multicorePoint{}, err
-		}
-		mcMiss := st.L2MissRatio()
-		pt := multicorePoint{
-			Workload:       wl,
-			Cores:          cores,
-			L2SizeBytes:    l2.SizeBytes,
-			L2Banks:        l2.Banks,
-			Step:           stepName(mode),
-			GoMaxProcs:     runtime.GOMAXPROCS(0),
-			Instr:          st.Committed,
-			IPC:            st.IPC(),
-			InstrsPerSec:   st.InstrsPerSec,
-			AllocsPerInstr: allocs,
-			L2MissRatio:    mcMiss,
-			gateCounters:   countersOf(st),
-		}
-		fmt.Printf("%-14s %-10s %9.0f instr/s  %9.0f cycles/s  ipc %.3f  %6.3f allocs/instr  l2miss %.3f\n",
-			fmt.Sprintf("mc×%d %s", cores, pt.Step), wl, st.InstrsPerSec, st.CyclesPerSec,
-			st.IPC(), allocs, mcMiss)
-		return pt, nil
-	}
-	var err error
-	if rep.Multicore, err = mcPoint(vpr.StepLockstep); err != nil {
+	// Multicore point: N cores behind the banked shared L2 — the
+	// throughput the multicore experiment pays per point.
+	wl := workloads[0]
+	st, allocs, err := bestOf(repeat, func() (vpr.Stats, float64, error) {
+		return measureMulticore(wl, policies, cores, l2, coherentMC, proto, dir, instr)
+	})
+	if err != nil {
 		return err
 	}
-	if rep.MulticoreParallel, err = mcPoint(step); err != nil {
-		return err
+	rep.Multicore = multicorePoint{
+		Workload:       wl,
+		Cores:          cores,
+		L2SizeBytes:    l2.SizeBytes,
+		L2Banks:        l2.Banks,
+		Instr:          st.Committed,
+		IPC:            st.IPC(),
+		InstrsPerSec:   st.InstrsPerSec,
+		AllocsPerInstr: allocs,
+		L2MissRatio:    st.L2MissRatio(),
 	}
+	fmt.Printf("%-14s %-10s %9.0f instr/s  %9.0f cycles/s  ipc %.3f  %6.3f allocs/instr  l2miss %.3f\n",
+		fmt.Sprintf("mc×%d", cores), wl, st.InstrsPerSec, st.CyclesPerSec,
+		st.IPC(), allocs, st.L2MissRatio())
 
 	// Coherence points: the directory protocol on the sharing-heavy
 	// synthetic workload — cores in one address space writing the same
 	// lines, the cost the coherence experiment pays per point. Always
-	// recorded (and CI-enforced: l2_invalidations must be nonzero, the
-	// parallel twin's deterministic fields must equal the lockstep
-	// point's, and the dedicated MOESI point must write back to the L2
-	// strictly less than the default MSI point) so the invalidation path
-	// stays on the perf record; a single core has no remote sharers to
-	// invalidate, so the points run at least two.
-	cohPoint := func(protoSel string, mode vpr.StepMode) (coherencePoint, error) {
+	// recorded (and CI-enforced: l2_invalidations must be nonzero, and
+	// the dedicated MOESI point must write back to the L2 strictly less
+	// than the default MSI point) so the invalidation path stays on the
+	// perf record; a single core has no remote sharers to invalidate, so
+	// the points run at least two.
+	cohPoint := func(protoSel string) (coherencePoint, error) {
 		wl := vpr.SynthWorkloadPrefix + "sharing"
 		cohCores := max(cores, 2)
 		p, err := vpr.CoherenceProtocolByName(protoSel)
@@ -453,7 +373,7 @@ func run(out string, instr, gridInstr int64, workloads []string, policies vpr.Po
 			return coherencePoint{}, err
 		}
 		st, allocs, err := bestOf(repeat, func() (vpr.Stats, float64, error) {
-			return measureMulticore(wl, policies, cohCores, l2, true, protoSel, dir, instr, mode)
+			return measureMulticore(wl, policies, cohCores, l2, true, protoSel, dir, instr)
 		})
 		if err != nil {
 			return coherencePoint{}, err
@@ -463,8 +383,6 @@ func run(out string, instr, gridInstr int64, workloads []string, policies vpr.Po
 			Cores:             cohCores,
 			Protocol:          p.Name(),
 			Directory:         dir,
-			Step:              stepName(mode),
-			GoMaxProcs:        runtime.GOMAXPROCS(0),
 			Instr:             st.Committed,
 			IPC:               st.IPC(),
 			InstrsPerSec:      st.InstrsPerSec,
@@ -475,45 +393,18 @@ func run(out string, instr, gridInstr int64, workloads []string, policies vpr.Po
 			WritebackForwards: st.L2WritebackForwards,
 			OwnerForwards:     st.L2OwnerForwards,
 			SilentUpgrades:    st.SilentUpgrades,
-			gateCounters:      countersOf(st),
 		}
 		fmt.Printf("%-16s %-10s %9.0f instr/s  %9.0f cycles/s  ipc %.3f  %6.3f allocs/instr  inval %d\n",
-			fmt.Sprintf("%s×%d %s", pt.Protocol, cohCores, pt.Step), wl, st.InstrsPerSec, st.CyclesPerSec,
+			fmt.Sprintf("%s×%d", pt.Protocol, cohCores), wl, st.InstrsPerSec, st.CyclesPerSec,
 			st.IPC(), allocs, st.L2Invalidations)
 		return pt, nil
 	}
-	if rep.Coherence, err = cohPoint(proto, vpr.StepLockstep); err != nil {
+	if rep.Coherence, err = cohPoint(proto); err != nil {
 		return err
 	}
-	if rep.CoherenceParallel, err = cohPoint(proto, step); err != nil {
+	if rep.CoherenceMOESI, err = cohPoint("moesi"); err != nil {
 		return err
 	}
-	if rep.CoherenceMOESI, err = cohPoint("moesi", vpr.StepLockstep); err != nil {
-		return err
-	}
-
-	// GOMAXPROCS sweep: the coherence twins again with host parallelism
-	// pinned to 1 and to NumCPU, so the report always carries a
-	// go_max_procs>1 twin pair (on a single-CPU host GOMAXPROCS=2 still
-	// exercises the multi-P scheduler — it just cannot add CPU time) and
-	// the speedup trend is measured rather than assumed.
-	prev := runtime.GOMAXPROCS(0)
-	sweep := []int{1, max(2, runtime.NumCPU())}
-	for _, gmp := range sweep {
-		runtime.GOMAXPROCS(gmp)
-		lock, err := cohPoint(proto, vpr.StepLockstep)
-		if err != nil {
-			runtime.GOMAXPROCS(prev)
-			return err
-		}
-		par, err := cohPoint(proto, step)
-		if err != nil {
-			runtime.GOMAXPROCS(prev)
-			return err
-		}
-		rep.Sweep = append(rep.Sweep, lock, par)
-	}
-	runtime.GOMAXPROCS(prev)
 
 	// Harness grid: every catalog workload × scheme, serial vs parallel.
 	var specs []vpr.RunSpec

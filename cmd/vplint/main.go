@@ -11,10 +11,6 @@
 //	cachekey      every //vpr:cachekey field must render into the
 //	              engine's canonical result-cache key
 //	reghygiene    //vpr:registry tables stay init-time and name-unique
-//	phasepure     //vpr:computephase code must never reach the
-//	              //vpr:memphase shared-memory surface
-//	sharedguard   //vpr:shared gate fields stay atomic and
-//	              method-accessed; //vpr:coreprivate stays off goroutines
 //	detsource     //vpr:detpkg packages must not read wall time or
 //	              randomness, spawn goroutines, or leak map order
 //

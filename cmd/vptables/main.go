@@ -65,7 +65,6 @@ func main() {
 		coh      = flag.Bool("coherence", false, "run the multicore experiment with one shared address space and the coherence directory on")
 		proto    = flag.String("protocol", "", "coherence protocol: msi (default), mesi, or moesi — restricts the coherence experiment's sweep and selects the -coherence protocol")
 		dir      = flag.String("dir", "", "coherence directory representation: fullmap (default, exact, ≤64 cores) or limited[:N] (N pointers, broadcast on overflow)")
-		step     = flag.String("step", "", "multicore stepping mode: lockstep (default), parallel, or skew:W — results are identical, only throughput changes")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -74,11 +73,6 @@ func main() {
 	defer stop()
 
 	opts := vpr.ExperimentOptions{Instr: *instr, FetchPolicy: *fetchPol, IssueSelect: *issueSel, Coherence: *coh}
-	if _, err := vpr.ParseStepMode(*step); err != nil {
-		fmt.Fprintf(os.Stderr, "vptables: -step: %v\n", err)
-		os.Exit(1)
-	}
-	opts.Step = *step
 	if _, err := vpr.CoherenceProtocolByName(*proto); err != nil {
 		fmt.Fprintf(os.Stderr, "vptables: -protocol: %v\n", err)
 		os.Exit(1)

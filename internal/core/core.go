@@ -23,10 +23,9 @@
 // newest-first when recovering from a misprediction. Violations panic: they
 // are simulator bugs, not recoverable conditions.
 //
-// Renamer state is replayed bit-for-bit by the run cache and the parallel
-// stepper, so the package is determinism-checked: vplint's detsource
-// analyzer bans unwaived wall clocks, goroutine launches and
-// order-dependent map iteration here.
+// Renamer state is replayed bit-for-bit by the run cache, so the package
+// is determinism-checked: vplint's detsource analyzer bans unwaived wall
+// clocks, goroutine launches and order-dependent map iteration here.
 //
 //vpr:detpkg
 package core

@@ -48,8 +48,7 @@ func smtKey(spec sim.SMTSpec) cacheKey {
 // per-core machine configuration, the memory configuration (shared-L2
 // geometry, the address-space mode, the coherence switch and the
 // protocol/directory selections) and the stepping mode, so two specs
-// differing only in the memory hierarchy — or in which stepper produced
-// the throughput numbers — never share a cache entry.
+// differing only in the memory hierarchy never share a cache entry.
 //
 //vpr:keyfunc sim.MulticoreSpec
 func multicoreKey(spec sim.MulticoreSpec) cacheKey {

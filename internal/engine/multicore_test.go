@@ -98,38 +98,6 @@ func TestRunMulticoreCoherenceKeysCache(t *testing.T) {
 	}
 }
 
-// TestRunMulticoreStepKeysCache: the stepping mode yields bit-identical
-// results, but throughput experiments comparing modes must never share a
-// cache entry — Step is part of the key, and the cached results agree.
-func TestRunMulticoreStepKeysCache(t *testing.T) {
-	e := New()
-	ctx := context.Background()
-	base := mcSpec(2, mem.DefaultL2Config())
-
-	lock, err := e.RunMulticore(ctx, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := base
-	par.Step = pipeline.StepParallel
-	parRes, err := e.RunMulticore(ctx, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := e.CacheStats(); hits != 0 || misses != 2 {
-		t.Errorf("step flip: hits/misses = %d/%d, want 0/2 (Step keys the cache)", hits, misses)
-	}
-	if lock.Stats.Arch() != parRes.Stats.Arch() {
-		t.Error("parallel-stepped run differs architecturally from lockstep")
-	}
-	if _, err := e.RunMulticore(ctx, par); err != nil {
-		t.Fatal(err)
-	}
-	if hits, _ := e.CacheStats(); hits != 1 {
-		t.Errorf("repeat parallel point: %d cache hits, want 1", hits)
-	}
-}
-
 // TestRunMulticoreBatchDeterministic: batches of multi-core machines
 // produce identical results at every parallelism level.
 func TestRunMulticoreBatchDeterministic(t *testing.T) {
@@ -153,47 +121,5 @@ func TestRunMulticoreBatchDeterministic(t *testing.T) {
 	}
 	if serial[0].Stats.Committed >= serial[1].Stats.Committed {
 		t.Error("2-core point should commit more in aggregate than 1-core")
-	}
-}
-
-// TestRunMulticoreCountersCacheNeutral: the parallel stepper's wait
-// counters live in results, never in cache keys — a repeated parallel
-// point is a cache hit even though its first run recorded nonzero,
-// host-scheduling-dependent counters, the cached copy returns those
-// counters verbatim, and Arch() equality with the lockstep twin is
-// unaffected by them.
-func TestRunMulticoreCountersCacheNeutral(t *testing.T) {
-	e := New()
-	ctx := context.Background()
-	spec := mcSpec(2, mem.DefaultL2Config())
-	spec.SharedAddressSpace = true
-	spec.Coherence = true
-	spec.Step = pipeline.StepParallel
-
-	first, err := e.RunMulticore(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := first.Stats.GateWaits + first.Stats.PacingWaits; n == 0 {
-		t.Fatal("parallel coherent run recorded no gate or pacing waits; the counter path is dead")
-	}
-	again, err := e.RunMulticore(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits, _ := e.CacheStats(); hits != 1 {
-		t.Errorf("repeat parallel point: %d cache hits, want 1 (counters must not reach the key)", hits)
-	}
-	if !reflect.DeepEqual(first, again) {
-		t.Error("cached result differs from the original (counters included)")
-	}
-	lockSpec := spec
-	lockSpec.Step = pipeline.StepLockstep
-	lock, err := e.RunMulticore(ctx, lockSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lock.Stats.Arch() != first.Stats.Arch() {
-		t.Error("counters leaked into the architectural view: parallel Arch() != lockstep Arch()")
 	}
 }

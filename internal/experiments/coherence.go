@@ -93,9 +93,6 @@ func coherencePlan(opts Options) (Plan, error) {
 			return Plan{}, fmt.Errorf("experiments: bad core count %d", n)
 		}
 	}
-	if _, err := opts.stepMode(); err != nil {
-		return Plan{}, err
-	}
 	if err := opts.checkCoherenceSelections(); err != nil {
 		return Plan{}, err
 	}

@@ -60,16 +60,6 @@ type Options struct {
 	// point ("fullmap", "limited[:N]"; the CLI -dir flag). Empty is the
 	// exact full-map bitmask; limited pointers lift its 64-core cap.
 	Directory string
-	// Step selects the multicore stepping strategy for the multicore and
-	// coherence experiments ("lockstep", "parallel", "skew:W"; the CLI
-	// -step flag). Results are bit-identical across modes — only host
-	// throughput changes. Empty means lockstep.
-	Step string
-}
-
-// stepMode validates and returns the option's stepping mode.
-func (o Options) stepMode() (pipeline.StepMode, error) {
-	return pipeline.ParseStepMode(o.Step)
 }
 
 // checkCoherenceSelections validates the option's protocol and directory

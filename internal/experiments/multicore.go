@@ -60,9 +60,6 @@ func multicorePlan(opts Options) (Plan, error) {
 			return Plan{}, fmt.Errorf("experiments: bad core count %d", n)
 		}
 	}
-	if _, err := opts.stepMode(); err != nil {
-		return Plan{}, err
-	}
 	if err := opts.checkCoherenceSelections(); err != nil {
 		return Plan{}, err
 	}
@@ -107,7 +104,6 @@ func multicorePointSpec(name string, scheme core.Scheme, cores int, l2 mem.L2Con
 	for i := range names {
 		names[i] = name
 	}
-	step, _ := opts.stepMode() // plan builders validate the mode up front
 	spec := sim.MulticoreSpec{
 		Workloads:          names,
 		Config:             baseConfig(scheme, 64, 32),
@@ -115,7 +111,6 @@ func multicorePointSpec(name string, scheme core.Scheme, cores int, l2 mem.L2Con
 		SharedAddressSpace: opts.Coherence,
 		Coherence:          opts.Coherence,
 		MaxInstrPerCore:    opts.instr() / int64(cores),
-		Step:               step,
 	}
 	if opts.Coherence {
 		spec.Protocol = opts.Protocol

@@ -23,14 +23,6 @@ import (
 //	//vpr:registry NAMESPACE         on a package-level var: static registration table
 //	//vpr:register NAMESPACE         on a func: runtime registration entry point
 //	//vpr:lookup NAMESPACE           on a func: registry lookup entry point
-//	//vpr:computephase               on a func: compute-phase root — must not reach the memory surface
-//	//vpr:memphase                   on a func or interface method: shared-memory-phase code
-//	//vpr:memstate                   on a struct or interface: shared memory state surface
-//	//vpr:phaseexempt [reason]       on a func/method decl or on/above a line: waive one phasepure finding
-//	//vpr:shared                     on a field: cross-goroutine gate state, must stay atomic
-//	//vpr:coreprivate                on a field: serial-only state, off-limits to stepper goroutines
-//	//vpr:guardexempt [reason]       on/above a line: waive one sharedguard finding
-//	//vpr:stepper                    on a func: the only place goroutines may be launched
 //	//vpr:wallclock [reason]         on a func: host-time throughput accounting, exempt from detsource
 //	//vpr:detpkg                     on a package doc: package is determinism-checked by detsource
 //	//vpr:detexempt [reason]         on/above a line: waive one detsource finding
@@ -363,27 +355,19 @@ type directiveSpec struct {
 }
 
 var directiveTable = map[string]directiveSpec{
-	"hotpath":      {where: onFunc},
-	"coldpath":     {where: onFunc},
-	"allowalloc":   {where: onLine, reason: true},
-	"stats":        {where: onStructType},
-	"statsink":     {where: onFunc, args: 1},
-	"statsexempt":  {where: onField, reason: true},
-	"cachekey":     {where: onStructType},
-	"keyfunc":      {where: onFunc, args: 1},
-	"nocachekey":   {where: onField, reason: true},
-	"registry":     {where: onVar, args: 1},
-	"register":     {where: onFunc, args: 1},
-	"lookup":       {where: onFunc, args: 1},
-	"computephase": {where: onFunc},
-	"memphase":     {where: onFunc | onIfaceMethod},
-	"memstate":     {where: onStructType | onIfaceType},
-	"phaseexempt":  {where: onFunc | onIfaceMethod | onLine, reason: true},
-	"shared":       {where: onField},
-	"coreprivate":  {where: onField},
-	"guardexempt":  {where: onLine, reason: true},
-	"stepper":      {where: onFunc},
-	"wallclock":    {where: onFunc, reason: true},
-	"detpkg":       {where: onPackage},
-	"detexempt":    {where: onLine, reason: true},
+	"hotpath":     {where: onFunc},
+	"coldpath":    {where: onFunc},
+	"allowalloc":  {where: onLine, reason: true},
+	"stats":       {where: onStructType},
+	"statsink":    {where: onFunc, args: 1},
+	"statsexempt": {where: onField, reason: true},
+	"cachekey":    {where: onStructType},
+	"keyfunc":     {where: onFunc, args: 1},
+	"nocachekey":  {where: onField, reason: true},
+	"registry":    {where: onVar, args: 1},
+	"register":    {where: onFunc, args: 1},
+	"lookup":      {where: onFunc, args: 1},
+	"wallclock":   {where: onFunc, reason: true},
+	"detpkg":      {where: onPackage},
+	"detexempt":   {where: onLine, reason: true},
 }

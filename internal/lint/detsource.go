@@ -20,9 +20,9 @@ import (
 //   - time.Now / time.Since / time.Until and anything from math/rand:
 //     allowed only inside //vpr:wallclock functions (host-throughput
 //     accounting, which by design never feeds simulated state).
-//   - go statements outside //vpr:stepper functions: the parallel
-//     stepper is the single sanctioned concurrency site, because its
-//     memory gate is what re-serializes shared state.
+//   - every go statement: a simulation runs on one goroutine, and host
+//     parallelism lives between independent runs (the engine's worker
+//     pool), never inside one.
 //   - map-range loops whose body writes variables declared outside the
 //     loop: the classic iteration-order leak. Waive with //vpr:detexempt
 //     naming the sorted-key or order-insensitive justification.
@@ -47,9 +47,9 @@ func runDetSource(pass *analysis.Pass) error {
 
 func checkDetFile(pass *analysis.Pass, pkg *analysis.Package, file *ast.File, waivers waiverLines) {
 	info := pkg.TypesInfo
-	inWaivedFunc := func(pos token.Pos, directive string) bool {
+	inWallclock := func(pos token.Pos) bool {
 		fd := funcDeclAt(file, pos)
-		return fd != nil && hasDirective(funcDirectives(fd), directive)
+		return fd != nil && hasDirective(funcDirectives(fd), "wallclock")
 	}
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -61,24 +61,22 @@ func checkDetFile(pass *analysis.Pass, pkg *analysis.Package, file *ast.File, wa
 			path := callee.Pkg().Path()
 			switch {
 			case path == "time" && wallClockFunc(callee.Name()):
-				if !inWaivedFunc(n.Pos(), "wallclock") && !waivers.waived(pass.Fset, n.Pos()) {
+				if !inWallclock(n.Pos()) && !waivers.waived(pass.Fset, n.Pos()) {
 					pass.Reportf(n.Pos(),
 						"time.%s in determinism-checked package %s — host time must not feed simulated state; move it into a //vpr:wallclock function or waive with //vpr:detexempt <reason>",
 						callee.Name(), pkg.Name)
 				}
 			case path == "math/rand" || strings.HasPrefix(path, "math/rand/"):
-				if !inWaivedFunc(n.Pos(), "wallclock") && !waivers.waived(pass.Fset, n.Pos()) {
+				if !inWallclock(n.Pos()) && !waivers.waived(pass.Fset, n.Pos()) {
 					pass.Reportf(n.Pos(),
 						"math/rand call %s.%s in determinism-checked package %s — derive pseudo-randomness from seeded simulated state or waive with //vpr:detexempt <reason>",
 						callee.Pkg().Name(), callee.Name(), pkg.Name)
 				}
 			}
 		case *ast.GoStmt:
-			if !inWaivedFunc(n.Pos(), "stepper") && !waivers.waived(pass.Fset, n.Pos()) {
-				pass.Reportf(n.Pos(),
-					"go statement in determinism-checked package %s outside a //vpr:stepper function — the parallel stepper's memory gate is the only sanctioned concurrency site",
-					pkg.Name)
-			}
+			pass.Reportf(n.Pos(),
+				"go statement in determinism-checked package %s — a simulation runs on one goroutine; host parallelism belongs between independent runs (the engine's worker pool)",
+				pkg.Name)
 		case *ast.RangeStmt:
 			checkMapRange(pass, info, n, waivers)
 		}

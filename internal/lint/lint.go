@@ -21,8 +21,6 @@ func Analyzers() []*analysis.Analyzer {
 		StatsFlow,
 		CacheKey,
 		RegHygiene,
-		PhasePure,
-		SharedGuard,
 		DetSource,
 	}
 }
@@ -35,8 +33,6 @@ var waiverDirectives = []string{
 	"allowalloc",
 	"statsexempt",
 	"nocachekey",
-	"phaseexempt",
-	"guardexempt",
 	"detexempt",
 }
 

@@ -27,14 +27,6 @@ func TestRegHygieneFixture(t *testing.T) {
 	linttest.Run(t, "testdata/reghygiene", lint.RegHygiene)
 }
 
-func TestPhasePureFixture(t *testing.T) {
-	linttest.Run(t, "testdata/phasepure", lint.PhasePure)
-}
-
-func TestSharedGuardFixture(t *testing.T) {
-	linttest.Run(t, "testdata/sharedguard", lint.SharedGuard)
-}
-
 func TestDetSourceFixture(t *testing.T) {
 	linttest.Run(t, "testdata/detsource", lint.DetSource)
 }

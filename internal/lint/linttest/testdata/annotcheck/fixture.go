@@ -1,6 +1,6 @@
-// Package fixture seeds annotcheck violations — a typo'd directive, four
-// misplacements, and malformed arguments — next to conforming directives
-// in every placement class. AnnotCheck takes no waiver: a bad directive
+// Package fixture seeds annotcheck violations — two unknown directives,
+// five misplacements, and malformed arguments — next to conforming
+// directives. AnnotCheck takes no waiver: a bad directive
 // is fixed, not excused, so the honored-waiver half of this fixture is
 // the conforming placements staying quiet.
 package fixture
@@ -45,18 +45,15 @@ func noArg() {}
 //vpr:hotpath gotta go fast // want `//vpr:hotpath takes no arguments, got "gotta go fast"`
 func chatty() {}
 
-// Port shows conforming interface placements: a type directive on the
-// declaration, method directives on its methods.
+// Port puts a struct directive on an interface, and a directive that is
+// not in the table on one of its methods.
 //
-//vpr:memstate
+//vpr:stats // want `//vpr:stats is misplaced on an interface type declaration — it belongs on a struct type declaration`
 type Port interface {
 	// Write mutates.
 	//
-	//vpr:memphase
+	//vpr:memphase // want `unknown //vpr: directive "memphase"`
 	Write(v int)
-	// Len is read-only.
-	//
-	//vpr:phaseexempt read-only
 	Len() int
 }
 

@@ -1,5 +1,5 @@
 // Package fixture is determinism-checked: detsource flags host clocks,
-// host randomness, unsanctioned goroutines, and map-iteration-order
+// host randomness, goroutine launches, and map-iteration-order
 // leaks here, each next to its waived or conforming twin.
 //
 //vpr:detpkg
@@ -33,16 +33,15 @@ func logged() int64 {
 	return time.Now().Unix()
 }
 
-// spawn launches a goroutine outside the stepper.
+// spawn launches a goroutine: there is no sanctioned concurrency site.
 func spawn() {
-	go tick() // want `go statement in determinism-checked package fixture outside a //vpr:stepper function`
+	go tick() // want `go statement in determinism-checked package fixture — a simulation runs on one goroutine`
 }
 
-// launch is the sanctioned concurrency site.
-//
-//vpr:stepper
-func launch() {
-	go tick()
+// spawnWaived shows that no waiver excuses a goroutine launch.
+func spawnWaived() {
+	//vpr:detexempt fixture: a waiver does not cover go statements
+	go tick() // want `go statement in determinism-checked package fixture`
 }
 
 // total leaks map iteration order into an outer accumulator.

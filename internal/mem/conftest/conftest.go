@@ -42,7 +42,7 @@
 // The Checker deliberately never calls into the hierarchy — it only
 // listens — so it lives in a non-test file usable by both the tests and
 // the fuzz targets; the code that drives Access/Drain sits in _test.go
-// files, outside the phasepure fence.
+// files.
 package conftest
 
 import (
@@ -89,9 +89,9 @@ type copyState struct {
 
 // Checker is the dynamic conformance oracle. Attach Tracer() to a
 // coherent System (SetCohTracer) built with the same protocol, drive any
-// workload through it in the usual gated (cycle, core-index) order, then
-// read Errs. The callbacks run synchronously inside the memory phase, so
-// the Checker needs no locking.
+// workload through it in the usual (cycle, core-index) order, then read
+// Errs. The callbacks run synchronously inside the hierarchy's access
+// calls, so the Checker needs no locking.
 type Checker struct {
 	proto    mem.Protocol
 	declared map[Edge]bool

@@ -73,13 +73,11 @@ type mshr struct {
 // core under.
 //
 // An L1 is written by two parties: its own core (Access/Drain, only from
-// the execute stage) and — under coherence — remote cores, whose gated
-// memory phases reach it through invalidateLine/remoteRead. The
-// parallel stepper (pipeline/parallel.go) serializes all such phases in
-// global (cycle, core-index) order, so the two parties never run
-// concurrently and l.now never observes time running backwards.
-//
-//vpr:memstate
+// the execute stage) and — under coherence — remote cores, whose execute
+// stages reach it through invalidateLine/remoteRead. The multi-core
+// runner steps the cores serially in global (cycle, core-index) order,
+// so the two parties never run concurrently and l.now never observes
+// time running backwards.
 type L1 struct {
 	cfg       L1Config
 	base      uint64
@@ -156,7 +154,6 @@ func (l *L1) drain(now int64) {
 // Drain implements Memory.
 //
 //vpr:hotpath
-//vpr:memphase
 func (l *L1) Drain(now int64) { l.drain(now) }
 
 // Access performs a load (write=false) or store (write=true) of the word
@@ -167,7 +164,6 @@ func (l *L1) Drain(now int64) { l.drain(now) }
 // the shared L2 instead of a constant.
 //
 //vpr:hotpath
-//vpr:memphase
 func (l *L1) Access(now int64, addr uint64, write bool) (cache.Outcome, bool) {
 	l.drain(now)
 	l.st.Accesses++

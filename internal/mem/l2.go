@@ -110,15 +110,12 @@ type bank struct {
 // bit-for-bit the PR-4 hierarchy, and the default MSI protocol over the
 // full-map directory is bit-for-bit the PR-5 one (golden-pinned).
 //
-// The L2 is not internally synchronized. It relies on its drivers —
-// either the serial lockstep loop or the parallel stepper's memory gate
-// (pipeline/parallel.go) — to present requests one at a time in global
+// The L2 is not internally synchronized. It relies on its driver, the
+// serial lockstep loop, to present requests one at a time in global
 // (cycle, core-index) order, which is also what makes the shared state
 // deterministic. With strict ordering enabled (System.EnableStrictCoreOrder)
 // that contract is asserted: same-cycle requests must arrive from
 // non-decreasing core indices.
-//
-//vpr:memstate
 type BankedL2 struct {
 	cfg       L2Config
 	lineBytes int
@@ -126,7 +123,7 @@ type BankedL2 struct {
 	banks     []bank
 	now       int64
 
-	// strictOrder asserts the stepper discipline: within one cycle,
+	// strictOrder asserts the runner's discipline: within one cycle,
 	// requests must arrive in non-decreasing core order. lastCore is the
 	// previous requester this cycle (-1 right after time advances).
 	strictOrder bool
@@ -269,8 +266,8 @@ func (c *BankedL2) advance(b *bank, now int64) {
 // noteCore asserts the within-cycle core-order half of the determinism
 // contract when strict ordering is on: cache keys and golden statistics
 // assume same-cycle L2 requests are applied in core-index order, and the
-// parallel stepper's memory gate exists to guarantee exactly that, so a
-// violation here is a stepper bug worth a hard stop, not a wrong number.
+// multi-core runner exists to guarantee exactly that, so a violation
+// here is a runner bug worth a hard stop, not a wrong number.
 //
 //vpr:hotpath
 func (c *BankedL2) noteCore(core int) {
@@ -279,7 +276,7 @@ func (c *BankedL2) noteCore(core int) {
 	}
 	if core < c.lastCore {
 		//vpr:allowalloc panic message: an invariant violation aborts the run
-		panic(fmt.Sprintf("mem: L2 request from core %d after core %d in cycle %d: stepper broke (cycle, core) order",
+		panic(fmt.Sprintf("mem: L2 request from core %d after core %d in cycle %d: runner broke (cycle, core) order",
 			core, c.lastCore, c.now))
 	}
 	c.lastCore = core
@@ -307,8 +304,6 @@ func (c *BankedL2) reserveBus(b *bank, now int64) int64 {
 // approximation the old cache.Config L2 mode used); the in-flight list
 // only widens the merge window for other cores. Non-coherent entry point:
 // the L1s call fetch directly so the directory sees the requesting port.
-//
-//vpr:memphase
 func (c *BankedL2) Fetch(now int64, lineAddr uint64) (penalty int, floor int64) {
 	penalty, floor, _ = c.fetch(now, lineAddr, 0, false)
 	return penalty, floor
@@ -491,8 +486,6 @@ func (c *BankedL2) traceFill(core int, lineAddr uint64, grant State, src int) {
 // copy and must invalidate every other copy before marking it Modified.
 // Returns the cycle the upgrade traffic completes (now when the L2 is not
 // coherent — the non-coherent hierarchy never calls it).
-//
-//vpr:memphase
 func (c *BankedL2) Upgrade(now int64, lineAddr uint64, core int) int64 {
 	if !c.coherent {
 		return now
@@ -541,8 +534,6 @@ func (c *BankedL2) evictVictim(b *bank, set int, now int64) {
 // WriteBack lands a dirty L1 victim in the L2, occupying the bank's bus
 // for one line transfer. Non-coherent entry point; the L1s call writeBack
 // so the directory learns which port gave the line up.
-//
-//vpr:memphase
 func (c *BankedL2) WriteBack(now int64, lineAddr uint64) {
 	c.writeBack(now, lineAddr, 0)
 }

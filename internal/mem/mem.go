@@ -28,11 +28,8 @@
 // time, so the lockstep multi-core runner keeps the directory
 // deterministic. docs/ARCHITECTURE.md has the protocol tables.
 //
-// The shared types here are the //vpr:memstate surface of the parallel
-// stepper's determinism contract: vplint's phasepure analyzer requires
-// every mutating entry point to carry //vpr:memphase and bans calls into
-// them from outside the gate-serialized memory phase (docs/LINTING.md).
-// The package is also determinism-checked (detsource).
+// The package is determinism-checked (vplint's detsource analyzer,
+// docs/LINTING.md).
 //
 //vpr:detpkg
 package mem
@@ -48,21 +45,9 @@ import "repro/internal/cache"
 // Callers must present non-decreasing cycle numbers; implementations
 // panic on time going backwards rather than silently corrupting refill
 // state.
-//
-//vpr:memstate
 type Memory interface {
-	// Access performs one load or store — the memory phase's mutating
-	// entry point.
-	//
-	//vpr:memphase
 	Access(now int64, addr uint64, write bool) (cache.Outcome, bool)
-	// Drain settles matured refills — mutating, memory phase only.
-	//
-	//vpr:memphase
 	Drain(now int64)
-	// Stats snapshots the counters without touching hierarchy state.
-	//
-	//vpr:phaseexempt read-only snapshot; safe from any phase
 	Stats() Stats
 }
 

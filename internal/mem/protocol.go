@@ -47,7 +47,7 @@ func (s State) Dirty() bool { return s == Owned || s == Modified }
 
 // Event is one stimulus a cached copy can receive. Local events come from
 // the owning core's access stream; remote events arrive through the
-// directory from other cores' gated memory phases.
+// directory from other cores' accesses.
 type Event uint8
 
 const (

@@ -10,14 +10,10 @@ const CoreAddrShift = 48
 
 // System is the multi-core shared memory hierarchy: one lockup-free L1
 // per core in front of a single banked finite L2. Ports are not
-// internally synchronized — the multi-core runner either steps cores in
-// cycle-lockstep on one goroutine or, under the parallel stepper
-// (pipeline/parallel.go), serializes every port's memory phase through a
-// gate that reproduces the identical global (cycle, core-index) request
-// order. Either discipline keeps the shared L2 state deterministic;
-// EnableStrictCoreOrder makes the L2 assert it.
-//
-//vpr:memstate
+// internally synchronized: the multi-core runner steps cores in
+// cycle-lockstep on one goroutine, in core-index order within a cycle,
+// which keeps the shared L2 state deterministic;
+// EnableStrictCoreOrder makes the L2 assert that order.
 type System struct {
 	l2  *BankedL2
 	l1s []*L1
@@ -103,12 +99,9 @@ func NewSystem(l1 L1Config, l2 L2Config, cores int, sharedAddr bool, coh Coheren
 // EnableStrictCoreOrder makes the shared L2 assert the determinism
 // contract on every request: within one cycle, requests must arrive from
 // non-decreasing core indices (time must already be monotonic). The
-// multi-core runner enables it unconditionally — the serial loop
-// satisfies the order by construction, and for the parallel stepper the
-// assertion is the tripwire that would catch a memory-gate bug as a
-// panic instead of a silently different statistic.
-//
-//vpr:phaseexempt setup-time: called once by the runner before stepping begins
+// multi-core runner enables it unconditionally: its loop satisfies the
+// order by construction, and the assertion turns any future break of
+// that order into a panic instead of a silently different statistic.
 func (s *System) EnableStrictCoreOrder() { s.l2.strictOrder = true }
 
 // Cores returns the number of L1 ports.

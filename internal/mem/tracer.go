@@ -7,12 +7,9 @@ package mem
 // tracer and the individual hook, so the cost on the hot path is a
 // pointer test.
 //
-// The callbacks run synchronously inside the (gate-serialized) memory
-// phase, so they observe transitions in the same global (cycle,
-// core-index) order the hierarchy applies them in and need no locking of
-// their own.
-//
-//vpr:memstate
+// The callbacks run synchronously inside the hierarchy's access calls,
+// so they observe transitions in the same global (cycle, core-index)
+// order the hierarchy applies them in and need no locking of their own.
 type CohTracer struct {
 	// StateChange reports one L1 copy's transition: core's copy of
 	// lineAddr moved from from to to because of ev. Self-loop

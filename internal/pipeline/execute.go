@@ -14,16 +14,11 @@ import "fmt"
 // produced) stay in the thread's inum-sorted pending list and retry each
 // cycle, exactly like the reference scan revisits them.
 //
-// Concurrency contract: this is the memory phase of the split cycle
-// (Sim.stepMem) — the only phase that touches s.dmem and, through it,
-// shared multicore state (the banked L2, the directory, remote L1s).
-// The parallel stepper serializes calls in global (cycle, core-index)
-// order via the memory gate in parallel.go; everything else in the
-// cycle runs concurrently across cores. Keep shared-state access inside
-// this phase or the determinism contract breaks — vplint's phasepure
-// analyzer enforces it through this annotation.
-//
-//vpr:memphase
+// This is the only stage that touches s.dmem and, through it, shared
+// multicore state (the banked L2, the directory, remote L1s). The
+// multicore runner steps cores in index order within each cycle, so
+// these calls reach shared state in global (cycle, core-index) order —
+// the determinism contract.
 func (s *Sim) executeStage(now int64) error {
 	if s.scan {
 		return s.executeScan(now)
@@ -114,8 +109,6 @@ func (s *Sim) deliverAGU(ev wevent) {
 
 // tryLoad attempts to give a post-AGU load its value: forwarded from the
 // youngest older matching store in its thread, or from the shared cache.
-//
-//vpr:memphase
 func (s *Sim) tryLoad(th *thread, e *robEntry, now int64, ports *int) error {
 	var match *sqEntry
 	for i := th.sqN - 1; i >= 0; i-- {

@@ -119,17 +119,6 @@ func (w *wheel) schedule(now int64, ev wevent) int64 {
 	return ev.due
 }
 
-// emptyAt reports whether drain(now) would deliver nothing. The slot for
-// now holds only events due exactly at now — every slot is drained at its
-// cycle, and schedule files an event into a slot only when its deadline
-// is within the horizon — so an empty slot is exact; a non-empty overflow
-// list is answered conservatively (its events may migrate anywhere).
-//
-//vpr:hotpath
-func (w *wheel) emptyAt(now int64) bool {
-	return len(w.overflow) == 0 && len(w.slots[now&w.mask]) == 0
-}
-
 // drain delivers every event due at now. Called once per cycle.
 func (w *wheel) drain(now int64, deliver func(ev wevent)) {
 	if len(w.overflow) > 0 && now >= w.nextMigrate {

@@ -29,12 +29,8 @@ type MulticoreConfig struct {
 	// private memories: no aliasing, no sharing.
 	SharedAddressSpace bool
 
-	// Step selects how the runner advances the cores each cycle:
-	// StepLockstep (also the zero value) is the serial oracle loop,
-	// StepParallel and StepSkew(W) run one goroutine per core under the
-	// conservative memory gate (parallel.go). All modes produce
-	// bit-identical statistics and commit streams; see ParseStepMode for
-	// the accepted spellings.
+	// Step names the stepping mode. The serial lockstep loop is the only
+	// runner, so "" and StepLockstep are the only accepted values.
 	Step StepMode
 
 	// Coherence activates the directory over the shared L2: stores
@@ -64,6 +60,15 @@ type MulticoreConfig struct {
 	Directory string
 }
 
+// StepMode names a Multicore stepping strategy. The serial lockstep loop
+// is the only one: MulticoreConfig.Validate accepts "" and StepLockstep
+// and rejects everything else.
+type StepMode string
+
+// StepLockstep steps every core serially in index order each cycle. The
+// empty string means the same thing.
+const StepLockstep StepMode = "lockstep"
+
 // DefaultMulticoreConfig is n copies of the paper's core over the default
 // banked shared L2.
 func DefaultMulticoreConfig(n int) MulticoreConfig {
@@ -87,12 +92,9 @@ func (c MulticoreConfig) Validate() error {
 	if err := mem.ParseDirectoryKind(c.Directory); err != nil {
 		return err
 	}
-	plan, err := c.Step.plan()
-	if err != nil {
-		return err
-	}
-	if plan.concurrent && c.Core.Policies.Probe != nil {
-		return fmt.Errorf("pipeline: probes observe every core through one shared callback and need the serial oracle; use Step=%q", StepLockstep)
+	if c.Step != "" && c.Step != StepLockstep {
+		return fmt.Errorf("pipeline: step mode %q: the concurrent multicore stepper was removed; lockstep (%q or \"\") is the only runner",
+			string(c.Step), StepLockstep)
 	}
 	return c.Core.Validate()
 }
@@ -107,32 +109,16 @@ type Multicore struct {
 	cfg   MulticoreConfig
 	cores []*Sim
 	sys   *mem.System // nil when the shared L2 is disabled
-	step  stepPlan    // cfg.Step parsed once (Validate already accepted it)
 
 	// Live-core tracking: drained[i] is set the first time core i reports
 	// Done, decrementing liveCount, so Done() is O(1) once everything has
-	// drained and the run loops never rescan finished cores. All three
-	// fields belong to the serial control plane — the stepper goroutines
-	// must never reach them (sharedguard enforces it).
-	//
-	//vpr:coreprivate
-	drained []bool
-	//vpr:coreprivate
+	// drained and the run loop never rescans finished cores.
+	drained   []bool
 	liveCount int
-	// liveBuf is reused index scratch for the serial run loop.
-	//
-	//vpr:coreprivate
+	// liveBuf is reused index scratch for the run loop.
 	liveBuf []int
 
-	//vpr:coreprivate
 	wallNanos int64
-
-	// parSync accumulates the parallel stepper's wait-ladder counters
-	// (folded in by runParallel after its goroutines join; always zero
-	// under the lockstep oracle). Serial control plane, like wallNanos.
-	//
-	//vpr:coreprivate
-	parSync waitStats
 }
 
 // NewMulticore builds the machine, one trace generator per core.
@@ -144,7 +130,6 @@ func NewMulticore(cfg MulticoreConfig, gens []trace.Generator) (*Multicore, erro
 		return nil, fmt.Errorf("pipeline: %d cores need %d traces, have %d", cfg.Cores, cfg.Cores, len(gens))
 	}
 	m := &Multicore{cfg: cfg}
-	m.step, _ = cfg.Step.plan() // Validate already vetted it
 	m.drained = make([]bool, cfg.Cores)
 	m.liveCount = cfg.Cores
 	m.liveBuf = make([]int, 0, cfg.Cores)
@@ -223,18 +208,13 @@ func (m *Multicore) Run(maxCommitsPerCore int64) (Stats, error) {
 	return m.RunContext(context.Background(), maxCommitsPerCore)
 }
 
-// RunContext is Run under a context: cancellation stops the stepper
-// between cycles and surfaces ctx.Err().
+// RunContext is Run under a context: cancellation stops the run between
+// cycles and surfaces ctx.Err().
 //
 //vpr:wallclock host-throughput accounting only; never feeds simulated state
 func (m *Multicore) RunContext(ctx context.Context, maxCommitsPerCore int64) (Stats, error) {
 	start := time.Now()
-	var err error
-	if m.step.concurrent {
-		err = m.runParallel(ctx, maxCommitsPerCore)
-	} else {
-		err = m.runLoop(ctx, maxCommitsPerCore)
-	}
+	err := m.runLoop(ctx, maxCommitsPerCore)
 	m.wallNanos += time.Since(start).Nanoseconds()
 	return m.Aggregate(), err
 }
@@ -315,11 +295,6 @@ func (m *Multicore) Aggregate() Stats {
 		agg.L2DirOverflows = l2.L2DirOverflows
 		agg.L2DirBroadcasts = l2.L2DirBroadcasts
 	}
-	agg.GateWaits = m.parSync.gateWaits
-	agg.PacingWaits = m.parSync.pacingWaits
-	agg.GateSpins = m.parSync.spins
-	agg.GateYields = m.parSync.yields
-	agg.GateParks = m.parSync.parks
 	agg.WallSeconds, agg.CyclesPerSec, agg.InstrsPerSec = 0, 0, 0
 	if m.wallNanos > 0 {
 		agg.WallSeconds = float64(m.wallNanos) / 1e9

@@ -11,6 +11,60 @@ import (
 	"repro/internal/trace"
 )
 
+// randSynthParams draws a randomized synthetic-workload parameterization:
+// mixes, dependence distances, miss ratios and branch behaviour all vary,
+// so kernels are compared across very different machine dynamics (miss
+// storms, re-execution pressure, violation replays, FP saturation). Used
+// by the scanoracle differential suite.
+func randSynthParams(rng *rand.Rand) synth.Params {
+	p := synth.Defaults()
+	p.Seed = rng.Int63()
+	p.FracLoad = 0.1 + 0.3*rng.Float64()
+	p.FracStore = 0.05 + 0.2*rng.Float64()
+	p.FracBranch = 0.05 + 0.15*rng.Float64()
+	p.FracFPALU = 0.3 * rng.Float64()
+	p.FracFPMul = 0.15 * rng.Float64()
+	p.FracFPDiv = 0.05 * rng.Float64()
+	p.FracIntMul = 0.1 * rng.Float64()
+	p.FracIntDiv = 0.03 * rng.Float64()
+	p.FracFPLoads = rng.Float64()
+	p.MeanDepDist = 1 + 10*rng.Float64()
+	p.MissRatio = 0.5 * rng.Float64()
+	p.BiasedBranchFrac = rng.Float64()
+	return p
+}
+
+// mcResult is what a multicore pin compares: the aggregate architectural
+// statistics plus each core's in-order commit stream (cores are
+// single-thread, so the inum sequence is the stream).
+type mcResult struct {
+	agg     Stats
+	streams [][]int64
+}
+
+// runMulticore builds and runs one Multicore, capturing commit streams.
+func runMulticore(t *testing.T, cfg MulticoreConfig, mkGens func() []trace.Generator, max int64) mcResult {
+	t.Helper()
+	mc, err := NewMulticore(cfg, mkGens())
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := make([][]int64, mc.Cores())
+	for i := 0; i < mc.Cores(); i++ {
+		mc.Core(i).onCommit = func(_ int, inum int64) {
+			streams[i] = append(streams[i], inum)
+		}
+	}
+	agg, err := mc.Run(max)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if max <= 0 && !mc.Done() {
+		t.Fatal("multicore not drained")
+	}
+	return mcResult{agg: agg.Arch(), streams: streams}
+}
+
 // TestMulticoreSingleCoreByteIdentical is the acceptance criterion: a
 // 1-core Multicore with the shared L2 disabled is the paper's machine,
 // and must produce byte-identical statistics to the plain Sim on the same
@@ -281,5 +335,50 @@ func TestMulticoreConfigValidation(t *testing.T) {
 	}
 	if _, err := NewMulticore(MulticoreConfig{Cores: 2, Core: DefaultConfig()}, []trace.Generator{gen()}); err == nil {
 		t.Error("trace/core count mismatch must be rejected")
+	}
+	gens := []trace.Generator{gen(), gen()}
+	for _, step := range []StepMode{"", StepLockstep} {
+		if _, err := NewMulticore(MulticoreConfig{Cores: 2, Core: DefaultConfig(), Step: step}, gens); err != nil {
+			t.Errorf("Step %q must be accepted: %v", step, err)
+		}
+	}
+	for _, step := range []StepMode{"parallel", "skew:64"} {
+		if _, err := NewMulticore(MulticoreConfig{Cores: 2, Core: DefaultConfig(), Step: step}, gens); err == nil {
+			t.Errorf("Step %q must be rejected: the concurrent stepper is gone", step)
+		}
+	}
+}
+
+// TestMulticoreLiveTracking: Done() is O(1) after a drain and the run
+// loop never steps a drained core again (the live list shrinks).
+func TestMulticoreLiveTracking(t *testing.T) {
+	cfg := MulticoreConfig{Cores: 2, Core: DefaultConfig(), L2: mem.DefaultL2Config()}
+	cfg.Core.ValueCheck = false
+	short := synth.Defaults()
+	short.Seed = 3
+	long := synth.Defaults()
+	long.Seed = 4
+	mc, err := NewMulticore(cfg, []trace.Generator{
+		trace.Take(synth.New(short), 500),
+		trace.Take(synth.New(long), 8000),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mc.Done() {
+		t.Fatal("fresh multicore reports done")
+	}
+	if _, err := mc.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if !mc.Done() {
+		t.Fatal("drained multicore not done")
+	}
+	if mc.liveCount != 0 {
+		t.Errorf("liveCount %d after drain, want 0", mc.liveCount)
+	}
+	c0, c1 := mc.Core(0).cycle, mc.Core(1).cycle
+	if c0 >= c1 {
+		t.Errorf("short-trace core stepped to cycle %d, long core %d: drained core kept stepping", c0, c1)
 	}
 }

@@ -48,8 +48,7 @@ func TestCrossProtocolCommittedStreamsIdentical(t *testing.T) {
 		t.Run(fmt.Sprintf("cores%d", c.cores), func(t *testing.T) {
 			var want [][]int64
 			for i, sel := range protoCombos {
-				res := runMulticoreMode(t, protoMCConfig(c.cores, sel.proto, sel.dir),
-					StepLockstep, goldenGens(c.cores, c.n), 0)
+				res := runMulticore(t, protoMCConfig(c.cores, sel.proto, sel.dir), goldenGens(c.cores, c.n), 0)
 				if res.agg.Committed != int64(c.cores)*c.n {
 					t.Errorf("%s/%s: committed %d instructions, want %d",
 						sel.proto, sel.dir, res.agg.Committed, int64(c.cores)*c.n)
@@ -77,33 +76,6 @@ func TestCrossProtocolCommittedStreamsIdentical(t *testing.T) {
 	}
 }
 
-// TestProtocolParallelDeterminism extends the PR-7/PR-8 stepper contract
-// to the new protocols: for each selection, every parallel step mode must
-// reproduce the lockstep oracle bit for bit — aggregate statistics,
-// per-core statistics and commit streams. MSI over the full map is
-// already pinned by the existing stepper differentials; this covers the
-// new machinery (silent upgrades, owner forwards, broadcast rounds)
-// under concurrent stepping. Run with -race in CI.
-func TestProtocolParallelDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stepper differential sweep is slow")
-	}
-	for _, sel := range []struct {
-		proto, dir string
-		cores      int
-		n          int64
-	}{
-		{"mesi", "fullmap", 2, 4000},
-		{"mesi", "limited:2", 4, 2000},
-		{"moesi", "fullmap", 2, 4000},
-		{"moesi", "limited:4", 8, 1000},
-	} {
-		name := fmt.Sprintf("%s-%s-%dcore", sel.proto, sel.dir, sel.cores)
-		diffSteppers(t, name, protoMCConfig(sel.cores, sel.proto, sel.dir),
-			goldenGens(sel.cores, sel.n), 0)
-	}
-}
-
 // TestProtocolTrafficSignatures checks each protocol produces the traffic
 // shape it exists for, on the same workload the goldens pin: MESI lives
 // off silent E→M upgrades, MOESI converts read-triggered write-back
@@ -111,8 +83,7 @@ func TestProtocolParallelDeterminism(t *testing.T) {
 // to the L2 strictly less than MSI.
 func TestProtocolTrafficSignatures(t *testing.T) {
 	run := func(proto, dir string) Stats {
-		return runMulticoreMode(t, protoMCConfig(4, proto, dir),
-			StepLockstep, goldenGens(4, 3000), 0).agg
+		return runMulticore(t, protoMCConfig(4, proto, dir), goldenGens(4, 3000), 0).agg
 	}
 	msi := run("msi", "fullmap")
 	mesi := run("mesi", "fullmap")

@@ -108,7 +108,7 @@ func TestProtocolGoldenMSIByteIdentical(t *testing.T) {
 				SharedAddressSpace: c.shared, Coherence: true,
 				Protocol: "msi", Directory: "fullmap",
 			}
-			res := runMulticoreMode(t, mccfg, StepLockstep, goldenGens(c.cores, c.n), 0)
+			res := runMulticore(t, mccfg, goldenGens(c.cores, c.n), 0)
 			if got := res.agg.Arch(); got != c.want {
 				t.Errorf("MSI/fullmap no longer byte-identical to pre-refactor HEAD:\n got %#v\nwant %#v", got, c.want)
 			}
@@ -133,7 +133,7 @@ func TestProtocolDefaultIsMSI(t *testing.T) {
 			SharedAddressSpace: true, Coherence: true,
 			Protocol: proto, Directory: dir,
 		}
-		return runMulticoreMode(t, mccfg, StepLockstep, mk, 0).agg.Arch()
+		return runMulticore(t, mccfg, mk, 0).agg.Arch()
 	}
 	if def, named := run("", ""), run("msi", "fullmap"); def != named {
 		t.Errorf("default selection differs from explicit msi/fullmap:\n got %#v\nwant %#v", def, named)

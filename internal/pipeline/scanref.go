@@ -126,11 +126,8 @@ func (s *Sim) broadcastScan(th *thread, class isa.RegClass, tag int) {
 	}
 }
 
-// executeScan is the scan-kernel memory phase: like executeStage it is
-// the only place the oracle touches s.dmem, so it sits inside the same
-// //vpr:memphase fence.
-//
-//vpr:memphase
+// executeScan is the scan-kernel execute stage: like executeStage it is
+// the only place the oracle touches s.dmem.
 func (s *Sim) executeScan(now int64) error {
 	ports := s.cfg.CachePorts
 	// The post-commit store buffer gets first claim on one port (see the

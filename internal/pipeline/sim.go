@@ -51,8 +51,9 @@
 // canonical.
 //
 // The package is determinism-checked: vplint's detsource analyzer bans
-// wall-clock reads, randomness, goroutine launches, and map-order leaks
-// outside their annotated sanctioned sites (docs/LINTING.md).
+// goroutine launches outright, and wall-clock reads, randomness and
+// map-order leaks outside their annotated sanctioned sites
+// (docs/LINTING.md).
 //
 //vpr:detpkg
 package pipeline
@@ -559,33 +560,13 @@ func (s *Sim) runLoop(ctx context.Context, maxCommits int64) error {
 // results written back in a cycle can wake and issue dependants in the
 // same cycle (full bypassing), identically for every renaming scheme.
 // Shared budgets (commit/issue/decode width, ports) rotate their starting
-// thread every cycle for fairness.
-//
-// The cycle is split into three phases so the parallel multicore stepper
-// (parallel.go) can serialize only the middle one: stepFront and stepBack
-// touch nothing but this core's private state, while stepMem (the execute
-// stage) is the single place the data-memory port — and, under a shared
-// mem.System, shared L2/directory state — is driven.
+// thread every cycle for fairness. The execute stage is the only one
+// that drives the data-memory port — and, under a shared mem.System, the
+// shared L2 and directory.
 //
 //vpr:hotpath
 func (s *Sim) Step() error {
 	now := s.cycle
-	if err := s.stepFront(now); err != nil {
-		return err
-	}
-	if err := s.stepMem(now); err != nil {
-		return err
-	}
-	return s.stepBack(now)
-}
-
-// stepFront runs the private front half of a cycle: commit (which refills
-// the post-commit store buffer) and write-back. After it returns, the
-// cycle's memory footprint is fixed — memQuiet is meaningful.
-//
-//vpr:hotpath
-//vpr:computephase
-func (s *Sim) stepFront(now int64) error {
 	if s.probe != nil {
 		s.probe.CycleStart(now)
 	}
@@ -593,27 +574,12 @@ func (s *Sim) stepFront(now int64) error {
 	if err := s.commitStage(now); err != nil {
 		return err
 	}
-	return s.writebackStage(now)
-}
-
-// stepMem runs the memory phase of a cycle — the execute stage, the only
-// phase that calls into s.dmem. Under the parallel multicore stepper this
-// phase is admitted in global (cycle, core-index) order whenever it might
-// touch shared state.
-//
-//vpr:hotpath
-//vpr:memphase
-func (s *Sim) stepMem(now int64) error {
-	return s.executeStage(now)
-}
-
-// stepBack runs the private back half of a cycle — issue, dispatch,
-// fetch, sampling and the per-cycle invariant checks — and advances the
-// clock.
-//
-//vpr:hotpath
-//vpr:computephase
-func (s *Sim) stepBack(now int64) error {
+	if err := s.writebackStage(now); err != nil {
+		return err
+	}
+	if err := s.executeStage(now); err != nil {
+		return err
+	}
 	if err := s.issueStage(now); err != nil {
 		return err
 	}
@@ -644,29 +610,6 @@ func (s *Sim) stepBack(now int64) error {
 	s.cycle++
 	s.rotate++
 	return nil
-}
-
-// memQuiet reports whether this cycle's stepMem provably performs no
-// data-memory access: the post-commit store buffer is empty, no thread
-// has a post-AGU memory operation pending or retrying, and the AGU wheel
-// cannot deliver one this cycle. Called between stepFront and stepMem
-// (commit refills the store buffer, so the predicate is only meaningful
-// once the front half has run). Conservative: a quiet cycle makes no
-// Access/Drain call at all, so the parallel stepper may run it without
-// taking the global memory gate.
-//
-//vpr:hotpath
-//vpr:computephase
-func (s *Sim) memQuiet(now int64) bool {
-	if s.scan || s.sbN > 0 || !s.aguWheel.emptyAt(now) {
-		return false
-	}
-	for _, th := range s.threads {
-		if len(th.aguPend) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 //vpr:coldpath

@@ -82,28 +82,13 @@ type Stats struct {
 	WallSeconds  float64
 	CyclesPerSec float64
 	InstrsPerSec float64
-
-	// Parallel-stepper wait ladder (parallel.go waitStats), summed over
-	// the core goroutines by Multicore.Aggregate; all zero under the
-	// lockstep oracle. Like the throughput fields these measure the
-	// simulator's host behaviour — how often the memory gate and the
-	// pacing window actually blocked, and how each wait was spent — so
-	// they depend on host scheduling, vary run to run, and are zeroed by
-	// Arch().
-	GateWaits   int64 // gated memory phases that found a predecessor lagging
-	PacingWaits int64 // cycle starts that found the skew window closed
-	GateSpins   int64 // pure load-spin probes across both wait kinds
-	GateYields  int64 // runtime.Gosched yields after the spin budget
-	GateParks   int64 // park episodes on a per-core notifier
 }
 
-// Arch returns the architectural statistics only: the throughput fields
-// and the parallel-stepper wait counters, which depend on host wall-clock
-// time and scheduling, are zeroed. Two runs of the same workload and
-// configuration produce identical Arch() values.
+// Arch returns the architectural statistics only: the throughput fields,
+// which depend on host wall-clock time, are zeroed. Two runs of the same
+// workload and configuration produce identical Arch() values.
 func (s Stats) Arch() Stats {
 	s.WallSeconds, s.CyclesPerSec, s.InstrsPerSec = 0, 0, 0
-	s.GateWaits, s.PacingWaits, s.GateSpins, s.GateYields, s.GateParks = 0, 0, 0, 0, 0
 	return s
 }
 

@@ -48,10 +48,9 @@ type MulticoreSpec struct {
 	Directory string
 	// MaxInstrPerCore bounds every core's trace.
 	MaxInstrPerCore int64
-	// Step selects the stepping strategy (lockstep oracle, parallel, or
-	// skew:W — see pipeline.ParseStepMode). Every mode produces
-	// bit-identical results; the engine still keys on it so throughput
-	// experiments comparing steppers never share a cache entry.
+	// Step names the stepping mode: "" or "lockstep", the only runner
+	// (see pipeline.MulticoreConfig.Step). The engine's cache key still
+	// hashes it.
 	Step pipeline.StepMode
 }
 

@@ -127,29 +127,6 @@ type (
 // stream) rather than a catalog kernel.
 const SynthWorkloadPrefix = sim.SynthWorkloadPrefix
 
-// StepMode selects how a multi-core run advances its cores:
-// StepLockstep (the default) is the serial oracle, StepParallel runs one
-// goroutine per core under a per-cycle barrier, and StepSkew(W) lets
-// cores free-run up to W cycles ahead ("skew:inf" unbounded) with every
-// shared-memory interaction still applied in the oracle's global (cycle,
-// core-index) order. All modes produce bit-identical statistics and
-// commit streams; only host throughput differs.
-type StepMode = pipeline.StepMode
-
-// Step-mode re-exports; see pipeline.ParseStepMode for the spellings.
-const (
-	StepLockstep = pipeline.StepLockstep
-	StepParallel = pipeline.StepParallel
-)
-
-// StepSkew returns the skew-window stepping mode with window w (< 0 =
-// unbounded).
-func StepSkew(w int64) StepMode { return pipeline.StepSkew(w) }
-
-// ParseStepMode validates a -step flag value: "lockstep", "parallel",
-// "skew:W" or "skew:inf".
-func ParseStepMode(s string) (StepMode, error) { return pipeline.ParseStepMode(s) }
-
 // L2Config sizes the banked shared L2 of a multi-core run; the zero
 // value (Enabled=false) gives every core a private infinite-L2 hierarchy
 // — the paper's machine per core.
