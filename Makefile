@@ -41,24 +41,18 @@ diff-oracle:
 race:
 	$(GO) test -race ./...
 
-# Benchmarks; BenchmarkRunBatch compares the serial and parallel engine,
-# and vpbench records the perf trajectory into BENCH_pipeline.json
-# (instrs/sec per scheme, the multicore and coherence points, harness
-# timings — the schema and CI-enforced fields are documented in
-# docs/BENCH.md).
-# -repeat keeps the best of N runs per point so the recorded trajectory
-# measures the simulator, not host noise.
-BENCH_REPEAT ?= 5
+# Go benchmarks: one per paper table and figure plus simulator and batch
+# throughput. Trusted end-to-end and per-layer speed numbers come from
+# perfbench (perfbench/README.md, BENCHMARK.json); allocation budgets are
+# pinned by TestAllocsPerInstr.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-	$(GO) run ./cmd/vpbench -out BENCH_pipeline.json -repeat $(BENCH_REPEAT)
 
-# CPU+heap profiles of the vpbench measurement itself: feed the outputs
-# to `go tool pprof bin/vpbench cpu.pprof`.
+# CPU+heap profiles of the simulator throughput benchmarks: feed the
+# outputs to `go tool pprof repro.test cpu.pprof`.
 profile:
-	$(GO) build -o bin/vpbench ./cmd/vpbench
-	./bin/vpbench -out BENCH_profile.json -cpuprofile cpu.pprof -memprofile mem.pprof
-	@echo "profiles: cpu.pprof mem.pprof (go tool pprof bin/vpbench cpu.pprof)"
+	$(GO) test -run '^$$' -bench 'BenchmarkRunBatch$$|BenchmarkSimulatorThroughput' -cpuprofile cpu.pprof -memprofile mem.pprof .
+	@echo "profiles: cpu.pprof mem.pprof (go tool pprof repro.test cpu.pprof)"
 
 # Regenerate every paper table/figure through the registry + engine path.
 tables:

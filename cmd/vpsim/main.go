@@ -44,6 +44,12 @@ func main() {
 		debug    = flag.Bool("debug", false, "run renamer invariant checks every cycle (slow)")
 	)
 	flag.Parse()
+	// Workloads never halt, so a non-positive budget would run forever.
+	if *instr <= 0 {
+		fmt.Fprintf(os.Stderr, "vpsim: -instr must be positive, have %d\n", *instr)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg := vpr.DefaultConfig()
 	switch *scheme {

@@ -123,17 +123,31 @@ func TestEngineRunExperiment(t *testing.T) {
 	}
 }
 
-// TestEngineRunBatchRejectsBadCacheGeometry: an L1 geometry the model
-// cannot index fails the batch with a validation error that names it,
+// TestEngineRunBatchRejectsBadCacheGeometry: a spec the simulator cannot
+// build fails the batch with a validation error that names the bad field,
 // instead of panicking inside a worker and taking every other spec — and
 // the process — down with it.
 func TestEngineRunBatchRejectsBadCacheGeometry(t *testing.T) {
-	bad := engineSpec("compress", vpr.SchemeConventional, 2000)
-	bad.Config.Cache.SizeBytes = 1000
-	specs := []vpr.RunSpec{engineSpec("compress", vpr.SchemeConventional, 2000), bad}
-	_, err := vpr.New(vpr.WithParallelism(2)).RunBatch(context.Background(), specs)
-	if err == nil || !strings.Contains(err.Error(), "L1 size 1000") {
-		t.Fatalf("err = %v, want the L1 geometry error", err)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*vpr.RunSpec)
+		want    string
+	}{
+		{"L1 size", func(s *vpr.RunSpec) { s.Config.Cache.SizeBytes = 1000 }, "L1 size 1000"},
+		{"NRR", func(s *vpr.RunSpec) {
+			s.Config.Scheme = vpr.SchemeVPWriteback
+			s.Config.Rename.NRRInt = s.Config.Rename.MaxNRR() + 1
+		}, "NRR 33"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := engineSpec("compress", vpr.SchemeConventional, 2000)
+			tc.corrupt(&bad)
+			specs := []vpr.RunSpec{engineSpec("compress", vpr.SchemeConventional, 2000), bad}
+			_, err := vpr.New(vpr.WithParallelism(2)).RunBatch(context.Background(), specs)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want an error naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

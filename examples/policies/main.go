@@ -3,7 +3,7 @@
 // workload with a cycle-level probe attached, then compares the two SMT
 // fetch policies on an asymmetric two-thread machine. Policies come out of
 // the registry by name — the same names the -fetch/-issue flags of
-// cmd/vptables and cmd/vpbench accept.
+// cmd/vptables accept.
 package main
 
 import (

@@ -8,8 +8,9 @@ import (
 	"repro/internal/trace"
 )
 
-// BenchmarkCoherencePoint is the allocation budget the CI bench ratchet
-// pins: the MSI-coherent two-core sharing run, allocations reported.
+// BenchmarkCoherencePoint times the MSI-coherent two-core sharing run and
+// reports its allocations; TestAllocsPerInstr (allocs_test.go in the
+// module root) pins the same point's allocation budget.
 // Steady-state hot-loop allocations are zero by construction
 // (hotpathalloc, docs/LINTING.md); what remains is per-run setup, so
 // allocs/op must stay flat as instruction counts grow.

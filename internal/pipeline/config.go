@@ -161,6 +161,13 @@ func (c Config) Validate() error {
 	case c.DeadlockCycles <= 0:
 		return fmt.Errorf("pipeline: deadlock threshold must be positive")
 	}
+	if c.Scheme != core.SchemeConventional {
+		for _, nrr := range []int{c.Rename.NRRInt, c.Rename.NRRFP} {
+			if nrr < 1 || nrr > c.Rename.MaxNRR() {
+				return fmt.Errorf("pipeline: NRR %d out of range [1,%d]", nrr, c.Rename.MaxNRR())
+			}
+		}
+	}
 	return mem.L1FromCacheConfig(c.Cache).Validate()
 }
 

@@ -139,7 +139,7 @@ func DefaultL2Config() L2Config { return mem.DefaultL2Config() }
 // ParseL2Geometry parses the CLI shared-L2 geometry syntax "SIZE[:BANKS]"
 // — SIZE accepts a K or M suffix ("256K:4", "1M:8", "524288") — and
 // returns the size in bytes and the bank count (0 when ":BANKS" was
-// omitted). Both cmd/vptables and cmd/vpbench speak this syntax.
+// omitted). cmd/vptables speaks this syntax.
 func ParseL2Geometry(s string) (sizeBytes, banks int, err error) {
 	sizePart, bankPart, hasBanks := strings.Cut(s, ":")
 	if hasBanks {
