@@ -1,9 +1,11 @@
 GO ?= go
 
-.PHONY: check vet build test lint diff-oracle race bench profile tables clean
+.PHONY: check vet build test perfbench-check lint diff-oracle race bench profile tables clean
 
-# Tier-1 gate: everything must vet, build and pass.
-check: vet build test
+# Tier-1 gate: everything must vet, build and pass, the benchmark module
+# (perfbench/, a separate Go module that reads Stats fields by name)
+# included.
+check: vet build test perfbench-check
 
 # Waiver ratchet: vplint fails when the tree's total waiver count
 # (//vpr:allowalloc, statsexempt, nocachekey, detexempt) exceeds this
@@ -30,6 +32,9 @@ build:
 
 test:
 	$(GO) test ./...
+
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Differential oracle: the pre-refactor scan kernel lives behind the
 # scanoracle build tag; this runs the event-vs-scan equivalence sweep

@@ -68,6 +68,11 @@ func main() {
 	)
 	flag.Usage = usage
 	flag.Parse()
+	if *instr <= 0 {
+		fmt.Fprintf(os.Stderr, "vptables: -instr must be positive, have %d\n", *instr)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -42,14 +42,10 @@ type Conventional struct {
 	sink         WakeupSink
 
 	// Register-lifetime accounting (§3.1 pressure metric, in vivo).
-	now         int64
-	allocCycle  [2][]int64
-	lifetimeSum int64
-	freed       int64
+	now        int64
+	allocCycle [2][]int64
 
-	// Statistics.
-	RenameStalls  int64 // Rename refusals due to an empty free list
-	EarlyReleases int64
+	st Stats
 }
 
 var _ Renamer = (*Conventional)(nil)
@@ -98,7 +94,7 @@ func (c *Conventional) Rename(inum int64, in isa.Inst) (Renamed, bool) {
 		panic(fmt.Sprintf("core: rename out of order (%d after %d)", inum, c.entries.at(n-1).inum))
 	}
 	if in.HasDst() && c.pool.free[classIdx(in.Dst.Class)].empty() {
-		c.RenameStalls++
+		c.st.RenameRegStall++
 		return Renamed{}, false
 	}
 	e := c.entries.pushBack(convEntry{inum: inum, newP: -1, prevP: -1, srcP: [2]int{-1, -1}})
@@ -305,18 +301,18 @@ func (c *Conventional) tryEarlyRelease(e *convEntry) bool {
 	e.prevFreed = true
 	c.pool.release(e.class, e.prevP)
 	c.noteFreed(e.class, e.prevP)
-	c.EarlyReleases++
+	c.st.EarlyReleases++
 	return true
 }
 
 // noteFreed accumulates the holding time of a just-freed register.
 func (c *Conventional) noteFreed(f, p int) {
-	c.lifetimeSum += c.now - c.allocCycle[f][p]
-	c.freed++
+	c.st.RegLifetimeSum += c.now - c.allocCycle[f][p]
+	c.st.RegsFreed++
 }
 
-// PressureStats implements Renamer.
-func (c *Conventional) PressureStats() (int64, int64) { return c.lifetimeSum, c.freed }
+// Stats implements Renamer.
+func (c *Conventional) Stats() Stats { return c.st }
 
 // InUse implements Renamer: pool-wide allocated registers (all contexts).
 func (c *Conventional) InUse(class isa.RegClass) int {

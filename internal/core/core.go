@@ -170,11 +170,8 @@ type Renamer interface {
 	// bound drives the early-release ablation.
 	Tick(now, safe int64)
 
-	// PressureStats reports the aggregate register-holding time observed
-	// so far: the sum of cycles each freed physical register was held,
-	// and the number of registers freed. Their ratio is the §3.1
-	// register-pressure metric measured in vivo.
-	PressureStats() (lifetimeSum, freed int64)
+	// Stats snapshots the renamer's counters.
+	Stats() Stats
 
 	// NoteRead informs the renamer which source operands have now been
 	// physically read (first/second). Ordinary instructions read both at
@@ -193,6 +190,36 @@ type Renamer interface {
 	// principles and reports any inconsistency. Used by tests and the
 	// pipeline's debug mode.
 	CheckInvariants() error
+}
+
+// Stats are the counters a Renamer accumulates: the one list of renaming
+// counters, which pipeline.Stats embeds. The first four count one
+// scheme's events each and stay zero under the other schemes.
+//
+//vpr:stats
+type Stats struct {
+	RenameRegStall int64 // conventional: rename refusals with an empty free list
+	EarlyReleases  int64 // conventional: early-release ablation events
+	Reexecutions   int64 // VP write-back: allocations refused (re-executions follow)
+	IssueBlocks    int64 // VP issue: issue allocations refused
+
+	// Register-lifetime accounting (the §3.1 pressure metric measured in
+	// vivo): total cycles freed physical registers were held, and how
+	// many were freed.
+	RegLifetimeSum int64
+	RegsFreed      int64
+}
+
+// Add accumulates other into s.
+//
+//vpr:statsink Stats
+func (s *Stats) Add(other Stats) {
+	s.RenameRegStall += other.RenameRegStall
+	s.EarlyReleases += other.EarlyReleases
+	s.Reexecutions += other.Reexecutions
+	s.IssueBlocks += other.IssueBlocks
+	s.RegLifetimeSum += other.RegLifetimeSum
+	s.RegsFreed += other.RegsFreed
 }
 
 // WakeupSink receives the renamer-side notifications the pipeline's

@@ -78,8 +78,8 @@ func TestConvStallsWhenOutOfRegisters(t *testing.T) {
 	if _, ok := c.Rename(inum, intInst(1, 2, 3)); ok {
 		t.Fatal("ninth rename should stall: free list empty")
 	}
-	if c.RenameStalls != 1 {
-		t.Errorf("stall count = %d", c.RenameStalls)
+	if c.Stats().RenameRegStall != 1 {
+		t.Errorf("stall count = %d", c.Stats().RenameRegStall)
 	}
 	// FP file is independent: an FP instruction still renames — but the
 	// pipeline would not ask (in-order decode); the renamer allows it.
@@ -312,8 +312,8 @@ func TestVPIssueAllocationGate(t *testing.T) {
 	if granted != 4 {
 		t.Errorf("issue grants = %d, want 4", granted)
 	}
-	if v.IssueBlocks != 4 {
-		t.Errorf("issue blocks = %d, want 4", v.IssueBlocks)
+	if v.Stats().IssueBlocks != 4 {
+		t.Errorf("issue blocks = %d, want 4", v.Stats().IssueBlocks)
 	}
 	// Protected always issue.
 	for i := int64(0); i < 4; i++ {
@@ -620,7 +620,7 @@ func TestRandomizedProtocolConventionalEarlyRelease(t *testing.T) {
 		c := NewConventional(p)
 		d := newDriver(t, c, 32, seed)
 		d.run(2000, 400000)
-		if c.EarlyReleases == 0 {
+		if c.Stats().EarlyReleases == 0 {
 			t.Error("early release never fired; ablation is inert")
 		}
 	}

@@ -71,14 +71,10 @@ type VP struct {
 	sink    WakeupSink
 
 	// Register-lifetime accounting (§3.1 pressure metric, in vivo).
-	now         int64
-	allocCycle  [2][]int64
-	lifetimeSum int64
-	freed       int64
+	now        int64
+	allocCycle [2][]int64
 
-	// Statistics.
-	AllocFailures int64 // write-back allocations refused (re-executions follow)
-	IssueBlocks   int64 // issue allocations refused
+	st Stats
 }
 
 var _ Renamer = (*VP)(nil)
@@ -246,7 +242,7 @@ func (v *VP) AllocateAtIssue(inum int64) bool {
 		return true
 	}
 	if !v.mayAllocate(e) {
-		v.IssueBlocks++
+		v.st.IssueBlocks++
 		return false
 	}
 	v.allocate(e)
@@ -272,7 +268,7 @@ func (v *VP) Complete(inum int64) (int, bool) {
 			panic("core: issue-allocated instruction completing without a register")
 		}
 		if !v.mayAllocate(e) {
-			v.AllocFailures++
+			v.st.Reexecutions++
 			return -1, false
 		}
 		v.allocate(e)
@@ -323,8 +319,8 @@ func (v *VP) NoteRead(int64, bool, bool) {}
 //vpr:hotpath
 func (v *VP) Tick(now, _ int64) { v.now = now }
 
-// PressureStats implements Renamer.
-func (v *VP) PressureStats() (int64, int64) { return v.lifetimeSum, v.freed }
+// Stats implements Renamer.
+func (v *VP) Stats() Stats { return v.st }
 
 // Commit implements Renamer: free the previous VP register and the physical
 // register reachable through it (paper §3.2.2), then advance the PRR
@@ -352,8 +348,8 @@ func (v *VP) Commit(inum int64) {
 		v.vpReady[f][e.prevVP] = false
 		v.vpFree[f].push(e.prevVP)
 		v.pool.release(f, prevP)
-		v.lifetimeSum += v.now - v.allocCycle[f][prevP]
-		v.freed++
+		v.st.RegLifetimeSum += v.now - v.allocCycle[f][prevP]
+		v.st.RegsFreed++
 
 		// PRR/Used update: the committing instruction is the oldest in
 		// the pending deque and, having completed, held a register.
@@ -396,8 +392,8 @@ func (v *VP) Squash(inum int64) {
 		if e.p >= 0 {
 			v.pmt[f][e.vp] = -1
 			v.pool.release(f, e.p)
-			v.lifetimeSum += v.now - v.allocCycle[f][e.p]
-			v.freed++
+			v.st.RegLifetimeSum += v.now - v.allocCycle[f][e.p]
+			v.st.RegsFreed++
 			if wasProtected {
 				v.setUsed(f, v.used[f]-1)
 			}

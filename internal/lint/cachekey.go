@@ -146,14 +146,7 @@ func checkFieldShapes(pass *analysis.Pass, s *annotStruct, marked map[string]*an
 		if hasDirective(fieldDirectives(field), "nocachekey") {
 			continue
 		}
-		idents := field.Names
-		if len(idents) == 0 { // embedded field
-			idents = []*ast.Ident{embeddedName(field.Type)}
-		}
-		for _, name := range idents {
-			if name == nil {
-				continue
-			}
+		for _, name := range fieldIdents(field) {
 			obj := s.pkg.TypesInfo.Defs[name]
 			if obj == nil {
 				continue
@@ -167,6 +160,20 @@ func checkFieldShapes(pass *analysis.Pass, s *annotStruct, marked map[string]*an
 	}
 }
 
+// fieldIdents returns the names a struct field declares; an embedded
+// field declares one named after its type.
+func fieldIdents(f *ast.Field) []*ast.Ident {
+	if len(f.Names) > 0 {
+		return f.Names
+	}
+	if id := embeddedName(f.Type); id != nil {
+		return []*ast.Ident{id}
+	}
+	return nil
+}
+
+// embeddedName returns the identifier naming an embedded field of type t:
+// T, *T, pkg.T and *pkg.T all name it T.
 func embeddedName(t ast.Expr) *ast.Ident {
 	switch t := t.(type) {
 	case *ast.Ident:

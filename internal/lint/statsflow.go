@@ -8,10 +8,12 @@ import (
 )
 
 // StatsFlow guards the counter-plumbing invariant: every field of a
-// struct annotated //vpr:stats (mem.Stats, pipeline.Stats) must be
-// referenced by at least one function annotated //vpr:statsink for that
-// type — the aggregate/merge functions results flow through
-// ((*mem.Stats).Add, pipeline.addStats, (*pipeline.Multicore).Aggregate).
+// struct annotated //vpr:stats (core.Stats, mem.Stats, pipeline.Stats)
+// must be referenced by at least one function annotated //vpr:statsink
+// for that type — the aggregate/merge functions results flow through
+// ((*core.Stats).Add, (*mem.Stats).Add, pipeline.addStats,
+// (*pipeline.Multicore).Aggregate). An embedded field counts as a field
+// named after its type.
 // A counter added to the struct but not to a sink is silently dropped
 // from every aggregated result; that is the bug class this analyzer
 // turns into a build failure. Fields that are derived in the sinks
@@ -128,13 +130,15 @@ func collectAnnotatedStructs(pass *analysis.Pass, directiveName string) map[stri
 	return out
 }
 
-// checkStatsStruct verifies each field reaches a sink.
+// checkStatsStruct verifies each field reaches a sink. An embedded field
+// (another layer's counter struct) counts as a field named after its
+// type, so a sink must fold it as a whole.
 func checkStatsStruct(pass *analysis.Pass, s *annotStruct) {
 	for _, field := range s.st.Fields.List {
 		if hasDirective(fieldDirectives(field), "statsexempt") {
 			continue
 		}
-		for _, name := range field.Names {
+		for _, name := range fieldIdents(field) {
 			if !referencedInAny(s, name.Name) {
 				pass.Reportf(name.Pos(),
 					"counter %s.%s.%s is not referenced by any //vpr:statsink aggregate — it is silently dropped from merged results; plumb it through or waive with //vpr:statsexempt <reason>",

@@ -40,9 +40,9 @@ func TestUpgradeInvalidatesRemoteSharers(t *testing.T) {
 	now = access(t, sys, 1, now+1, addr, false) // both Shared
 	now = access(t, sys, 0, now+1, addr, true)  // port 0 upgrades
 	l2 := sys.L2()
-	if l2.Upgrades != 1 || l2.Invalidations != 1 || l2.WritebackForwards != 0 {
+	if l2.Stats().L2Upgrades != 1 || l2.Stats().L2Invalidations != 1 || l2.Stats().L2WritebackForwards != 0 {
 		t.Fatalf("upgrades/invalidations/forwards = %d/%d/%d, want 1/1/0",
-			l2.Upgrades, l2.Invalidations, l2.WritebackForwards)
+			l2.Stats().L2Upgrades, l2.Stats().L2Invalidations, l2.Stats().L2WritebackForwards)
 	}
 	sys.Port(1).Drain(now + 1)
 	if sys.Port(1).Probe(addr) {
@@ -52,10 +52,10 @@ func TestUpgradeInvalidatesRemoteSharers(t *testing.T) {
 		t.Fatal("the upgrading core keeps its (now Modified) copy")
 	}
 	// The invalidated core re-fetches: an extra L2 fetch, not an L1 hit.
-	fetches := l2.Fetches
+	fetches := l2.Stats().L2Fetches
 	access(t, sys, 1, now+2, addr, false)
-	if l2.Fetches != fetches+1 {
-		t.Fatalf("re-access after invalidation must go to the L2 (fetches %d -> %d)", fetches, l2.Fetches)
+	if l2.Stats().L2Fetches != fetches+1 {
+		t.Fatalf("re-access after invalidation must go to the L2 (fetches %d -> %d)", fetches, l2.Stats().L2Fetches)
 	}
 }
 
@@ -78,8 +78,8 @@ func TestWritebackForwardOnDirtyRemoteRead(t *testing.T) {
 	d1 := access(t, sys, 1, 300, lineX, false) - 300 // L2 hit, no remote owner
 	d2 := access(t, sys, 1, 600, lineY, false) - 600 // L2 hit, dirty at port 0
 	l2 := sys.L2()
-	if l2.WritebackForwards != 1 || l2.Invalidations != 0 {
-		t.Fatalf("forwards/invalidations = %d/%d, want 1/0", l2.WritebackForwards, l2.Invalidations)
+	if l2.Stats().L2WritebackForwards != 1 || l2.Stats().L2Invalidations != 0 {
+		t.Fatalf("forwards/invalidations = %d/%d, want 1/0", l2.Stats().L2WritebackForwards, l2.Stats().L2Invalidations)
 	}
 	if !sys.Port(0).Probe(lineY) {
 		t.Fatal("downgraded owner keeps its copy")
@@ -91,10 +91,10 @@ func TestWritebackForwardOnDirtyRemoteRead(t *testing.T) {
 	}
 
 	// The downgraded copy is clean: evicting it must not write back.
-	wbs := l2.WriteBacks
+	wbs := l2.Stats().L2WriteBacks
 	access(t, sys, 0, 900, lineY+16*1024, false) // same L1 set, conflicts the copy out
-	if l2.WriteBacks != wbs {
-		t.Fatalf("evicting a downgraded (clean) copy wrote back (%d -> %d)", wbs, l2.WriteBacks)
+	if l2.Stats().L2WriteBacks != wbs {
+		t.Fatalf("evicting a downgraded (clean) copy wrote back (%d -> %d)", wbs, l2.Stats().L2WriteBacks)
 	}
 }
 
@@ -107,9 +107,9 @@ func TestInvalidationOfDirtyRemoteLine(t *testing.T) {
 	sys.Port(0).Drain(now + 1)
 	access(t, sys, 1, now+1, addr, true) // port 1 takes ownership
 	l2 := sys.L2()
-	if l2.Invalidations != 1 || l2.WritebackForwards != 1 {
+	if l2.Stats().L2Invalidations != 1 || l2.Stats().L2WritebackForwards != 1 {
 		t.Fatalf("invalidations/forwards = %d/%d, want 1/1 (dirty remote copy)",
-			l2.Invalidations, l2.WritebackForwards)
+			l2.Stats().L2Invalidations, l2.Stats().L2WritebackForwards)
 	}
 	if sys.Port(0).Probe(addr) {
 		t.Fatal("previous owner's copy must be gone")
@@ -129,11 +129,11 @@ func TestUpgradeRacesInflightRefillMerge(t *testing.T) {
 	ready0 := access(t, sys, 0, 0, addr, false) // refill in flight
 	access(t, sys, 1, 1, addr, true)            // store while in flight
 	l2 := sys.L2()
-	if l2.Merges != 1 {
-		t.Fatalf("store must merge into the in-flight refill (merges %d, want 1)", l2.Merges)
+	if l2.Stats().L2Merges != 1 {
+		t.Fatalf("store must merge into the in-flight refill (merges %d, want 1)", l2.Stats().L2Merges)
 	}
-	if l2.Invalidations != 1 {
-		t.Fatalf("invalidations = %d, want 1 (the in-flight copy)", l2.Invalidations)
+	if l2.Stats().L2Invalidations != 1 {
+		t.Fatalf("invalidations = %d, want 1 (the in-flight copy)", l2.Stats().L2Invalidations)
 	}
 	sys.Port(0).Drain(ready0 + 200)
 	if sys.Port(0).Probe(addr) {
@@ -144,9 +144,9 @@ func TestUpgradeRacesInflightRefillMerge(t *testing.T) {
 		t.Fatal("the new owner's refill installs")
 	}
 	// Core 0's next access is a fresh miss, not an L1 hit on stale data.
-	hits := sys.Port(0).Stats().Hits
+	hits := sys.Port(0).Stats().CacheHits
 	access(t, sys, 0, ready0+201, addr, false)
-	if sys.Port(0).Stats().Hits != hits {
+	if sys.Port(0).Stats().CacheHits != hits {
 		t.Fatal("access after a squashed refill must miss")
 	}
 }
@@ -164,11 +164,11 @@ func TestBackInvalidationOnL2Eviction(t *testing.T) {
 	sys.Port(1).Drain(now + 1)
 	access(t, sys, 0, now+1, lineB, false) // port 0's miss evicts A from the L2
 	l2 := sys.L2()
-	if l2.BackInvalidations != 1 {
-		t.Fatalf("back-invalidations = %d, want 1 (the victim's sharer)", l2.BackInvalidations)
+	if l2.Stats().L2BackInvalidations != 1 {
+		t.Fatalf("back-invalidations = %d, want 1 (the victim's sharer)", l2.Stats().L2BackInvalidations)
 	}
-	if l2.Invalidations != 0 {
-		t.Fatalf("invalidations = %d, want 0 (inclusion victims count separately)", l2.Invalidations)
+	if l2.Stats().L2Invalidations != 0 {
+		t.Fatalf("invalidations = %d, want 0 (inclusion victims count separately)", l2.Stats().L2Invalidations)
 	}
 	sys.Port(1).Drain(now + 2)
 	if sys.Port(1).Probe(lineA) {
@@ -194,23 +194,23 @@ func TestMergeIntoEvictedLineRevivesTag(t *testing.T) {
 	access(t, sys, 0, 0, lineB, false) // port 0: refill of B in flight
 	access(t, sys, 1, 1, lineA, false) // port 1: evicts B's tag mid-flight
 	l2 := sys.L2()
-	if l2.BackInvalidations != 1 {
-		t.Fatalf("back-invalidations = %d, want 1 (B's in-flight copy)", l2.BackInvalidations)
+	if l2.Stats().L2BackInvalidations != 1 {
+		t.Fatalf("back-invalidations = %d, want 1 (B's in-flight copy)", l2.Stats().L2BackInvalidations)
 	}
 	// Port 0 retries B (its squashed MSHR is not a merge target in the
 	// L1, so this is a fresh primary miss) and merges into the still
 	// in-flight L2 refill: the merge must revive B's tag, not join A's
 	// directory entry.
 	access(t, sys, 0, 2, lineB, false)
-	if l2.Merges != 1 {
-		t.Fatalf("merges = %d, want 1", l2.Merges)
+	if l2.Stats().L2Merges != 1 {
+		t.Fatalf("merges = %d, want 1", l2.Stats().L2Merges)
 	}
 	// Port 1 now upgrades A. Port 0 was never a sharer of A, so no
 	// sharing-driven invalidation may fire (before the fix, port 0's
 	// merge had landed in A's sharer set).
 	access(t, sys, 1, 3, lineA, true)
-	if l2.Invalidations != 0 {
-		t.Fatalf("invalidations = %d, want 0 (phantom sharer from the merge)", l2.Invalidations)
+	if l2.Stats().L2Invalidations != 0 {
+		t.Fatalf("invalidations = %d, want 0 (phantom sharer from the merge)", l2.Stats().L2Invalidations)
 	}
 }
 
@@ -231,12 +231,12 @@ func TestNamespacedCoherenceSendsNoInvalidations(t *testing.T) {
 		now = access(t, sys, port, now+1, 0x6000, true)
 	}
 	l2 := sys.L2()
-	if l2.Upgrades != 2 {
-		t.Fatalf("upgrades = %d, want 2 (one store per core hit a clean copy)", l2.Upgrades)
+	if l2.Stats().L2Upgrades != 2 {
+		t.Fatalf("upgrades = %d, want 2 (one store per core hit a clean copy)", l2.Stats().L2Upgrades)
 	}
-	if l2.Invalidations != 0 || l2.WritebackForwards != 0 {
+	if l2.Stats().L2Invalidations != 0 || l2.Stats().L2WritebackForwards != 0 {
 		t.Fatalf("invalidations/forwards = %d/%d, want 0/0 on namespaced cores",
-			l2.Invalidations, l2.WritebackForwards)
+			l2.Stats().L2Invalidations, l2.Stats().L2WritebackForwards)
 	}
 }
 

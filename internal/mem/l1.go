@@ -166,13 +166,13 @@ func (l *L1) Drain(now int64) { l.drain(now) }
 //vpr:hotpath
 func (l *L1) Access(now int64, addr uint64, write bool) (cache.Outcome, bool) {
 	l.drain(now)
-	l.st.Accesses++
+	l.st.CacheAccesses++
 	addr += l.base
 	la := addr >> l.lineShift
 	ln := &l.lines[l.index(la)]
 
 	if ln.valid && ln.tag == la {
-		l.st.Hits++
+		l.st.CacheHits++
 		ready := now + int64(l.cfg.HitLatency)
 		if write {
 			if l.next != nil && l.next.coherent {
@@ -205,7 +205,7 @@ func (l *L1) Access(now int64, addr uint64, write bool) (cache.Outcome, bool) {
 	for i := range l.mshrs {
 		m := &l.mshrs[i]
 		if m.busy && !m.invalidated && m.lineAddr == la {
-			l.st.Merges++
+			l.st.CacheMergedMiss++
 			ready := m.readyAt
 			if write {
 				// First store to merge into a read refill: the install
@@ -239,12 +239,12 @@ func (l *L1) Access(now int64, addr uint64, write bool) (cache.Outcome, bool) {
 		}
 	}
 	if slot < 0 {
-		l.st.MSHRStalls++
+		l.st.MSHRStallCycles++
 		return cache.Outcome{}, false
 	}
-	l.st.Misses++
-	if inFlight+1 > l.st.PeakInFlight {
-		l.st.PeakInFlight = inFlight + 1
+	l.st.CacheMisses++
+	if inFlight+1 > l.st.PeakMSHRs {
+		l.st.PeakMSHRs = inFlight + 1
 	}
 
 	// A dirty victim occupies the L1↔L2 bus for one line transfer and
@@ -252,7 +252,7 @@ func (l *L1) Access(now int64, addr uint64, write bool) (cache.Outcome, bool) {
 	// line's dirty data finally reaches the L2: a plain write-back, not a
 	// forward.
 	if ln.valid && ln.dirty {
-		l.st.Evictions++
+		l.st.CacheEvictions++
 		if l.busFreeAt < now {
 			l.busFreeAt = now
 		}

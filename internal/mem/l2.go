@@ -138,31 +138,7 @@ type BankedL2 struct {
 	// paths never allocate per round.
 	visitBuf []int16
 
-	// Statistics.
-	Fetches    int64
-	Hits       int64
-	Misses     int64
-	Merges     int64
-	WriteBacks int64
-	Conflicts  int64 // transfers that found their bank's bus busy
-
-	// Coherence statistics (zero unless coherence is enabled).
-	// Invalidations counts only ownership-claim messages — upgrades and
-	// read-for-ownership fetches invalidating remote sharers — so it is
-	// zero whenever cores never share a line (namespaced address
-	// spaces). BackInvalidations counts the inclusion half: victims an
-	// L2 eviction forces out of their sharers' L1s, which happens under
-	// pure capacity pressure even without sharing. OwnerForwards is
-	// MOESI's replacement for read-triggered WritebackForwards; the
-	// Dir counters measure the limited-pointer directory's precision
-	// loss and are zero on the exact full map.
-	Invalidations     int64 // sharing-driven invalidation messages to remote L1s
-	BackInvalidations int64 // inclusion: L2 victims invalidated out of sharer L1s
-	Upgrades          int64 // stores that asked the directory for ownership of a present line
-	WritebackForwards int64 // dirty remote copies forwarded through a bank into the L2
-	OwnerForwards     int64 // dirty lines forwarded cache-to-cache, kept dirty (MOESI Owned)
-	DirOverflows      int64 // sets whose sharer count exhausted the pointer budget
-	DirBroadcasts     int64 // invalidation rounds degraded to broadcast by an overflowed set
+	st Stats // the L2 and coherence counters; the L1 fields stay zero
 }
 
 // NewBankedL2 builds the shared L2 for the given L1 line size.
@@ -290,7 +266,7 @@ func (c *BankedL2) reserveBus(b *bank, now int64) int64 {
 		return now
 	}
 	if b.busFreeAt > now {
-		c.Conflicts++
+		c.st.L2Conflicts++
 	} else {
 		b.busFreeAt = now
 	}
@@ -323,10 +299,10 @@ func (c *BankedL2) fetch(now int64, lineAddr uint64, core int, exclusive bool) (
 	b, set := c.bankOf(lineAddr)
 	c.advance(b, now)
 	c.noteCore(core)
-	c.Fetches++
+	c.st.L2Fetches++
 	for _, r := range b.inflight {
 		if r.lineAddr == lineAddr {
-			c.Merges++
+			c.st.L2Merges++
 			f := c.reserveBus(b, now)
 			if c.coherent {
 				// The set's tag can have been conflict-evicted while this
@@ -354,7 +330,7 @@ func (c *BankedL2) fetch(now int64, lineAddr uint64, core int, exclusive bool) (
 	penalty = c.cfg.HitPenalty
 	tag := &b.tags[set]
 	if *tag == lineAddr+1 {
-		c.Hits++
+		c.st.L2Hits++
 		if c.coherent {
 			var cf int64
 			cf, grant = c.dirJoin(b, set, lineAddr, core, exclusive, now)
@@ -363,7 +339,7 @@ func (c *BankedL2) fetch(now int64, lineAddr uint64, core int, exclusive bool) (
 			}
 		}
 	} else {
-		c.Misses++
+		c.st.L2Misses++
 		penalty = c.cfg.MissPenalty
 		if c.coherent {
 			c.evictVictim(b, set, now)
@@ -413,7 +389,7 @@ func (c *BankedL2) dirJoin(b *bank, set int, lineAddr uint64, core int, exclusiv
 		case ForwardWriteback:
 			// Dirty line rides the bank bus into the L2; the owner
 			// keeps a clean Shared copy.
-			c.WritebackForwards++
+			c.st.L2WritebackForwards++
 			src = owner
 			if f := c.reserveBus(b, now); f > floor {
 				floor = f
@@ -422,7 +398,7 @@ func (c *BankedL2) dirJoin(b *bank, set int, lineAddr uint64, core int, exclusiv
 		case ForwardOwner:
 			// MOESI: dirty line rides the bus cache-to-cache; the owner
 			// keeps it dirty (Owned) and stays the directory's owner.
-			c.OwnerForwards++
+			c.st.L2OwnerForwards++
 			src = owner
 			if f := c.reserveBus(b, now); f > floor {
 				floor = f
@@ -435,7 +411,7 @@ func (c *BankedL2) dirJoin(b *bank, set int, lineAddr uint64, core int, exclusiv
 	sole := b.dir.Owner(set) < 0 && !b.dir.OtherSharers(set, core)
 	grant := c.proto.ReadFillState(sole)
 	if b.dir.AddSharer(set, core) {
-		c.DirOverflows++
+		c.st.L2DirOverflows++
 	}
 	if grant == Exclusive {
 		b.dir.SetOwner(set, core)
@@ -454,11 +430,11 @@ func (c *BankedL2) claimOwnership(b *bank, set int, lineAddr uint64, core int, n
 	floor := now
 	sharers, broadcast := b.dir.AppendSharers(set, core, c.visitBuf[:0])
 	for _, j := range sharers {
-		c.Invalidations++
+		c.st.L2Invalidations++
 		_, wasDirty := c.ports[j].invalidateLine(now, lineAddr, EvRemoteWrite)
 		f := c.reserveBus(b, now)
 		if wasDirty {
-			c.WritebackForwards++
+			c.st.L2WritebackForwards++
 			f = c.reserveBus(b, now)
 		}
 		if f > floor {
@@ -466,7 +442,7 @@ func (c *BankedL2) claimOwnership(b *bank, set int, lineAddr uint64, core int, n
 		}
 	}
 	if broadcast {
-		c.DirBroadcasts++
+		c.st.L2DirBroadcasts++
 	}
 	b.dir.Clear(set)
 	b.dir.AddSharer(set, core)
@@ -493,7 +469,7 @@ func (c *BankedL2) Upgrade(now int64, lineAddr uint64, core int) int64 {
 	b, set := c.bankOf(lineAddr)
 	c.advance(b, now)
 	c.noteCore(core)
-	c.Upgrades++
+	c.st.L2Upgrades++
 	if tag := &b.tags[set]; *tag != lineAddr+1 {
 		// Defensive: inclusion means an L1 hit implies an L2 hit, so this
 		// should be unreachable; reinstall the tag rather than corrupt the
@@ -517,16 +493,16 @@ func (c *BankedL2) evictVictim(b *bank, set int, now int64) {
 	victim := b.tags[set] - 1
 	sharers, broadcast := b.dir.AppendSharers(set, -1, c.visitBuf[:0])
 	for _, j := range sharers {
-		c.BackInvalidations++
+		c.st.L2BackInvalidations++
 		_, wasDirty := c.ports[j].invalidateLine(now, victim, EvRecall)
 		c.reserveBus(b, now)
 		if wasDirty {
-			c.WritebackForwards++
+			c.st.L2WritebackForwards++
 			c.reserveBus(b, now)
 		}
 	}
 	if broadcast {
-		c.DirBroadcasts++
+		c.st.L2DirBroadcasts++
 	}
 	b.dir.Clear(set)
 }
@@ -546,7 +522,7 @@ func (c *BankedL2) writeBack(now int64, lineAddr uint64, core int) {
 	b, set := c.bankOf(lineAddr)
 	c.advance(b, now)
 	c.noteCore(core)
-	c.WriteBacks++
+	c.st.L2WriteBacks++
 	tag := &b.tags[set]
 	if c.coherent {
 		if *tag != lineAddr+1 {
@@ -564,28 +540,4 @@ func (c *BankedL2) writeBack(now int64, lineAddr uint64, core int) {
 
 // Stats reports the shared counters in Memory's stats shape (L1 fields
 // zero). Aggregate them once per System, not per port.
-func (c *BankedL2) Stats() Stats {
-	return Stats{
-		L2Fetches:           c.Fetches,
-		L2Hits:              c.Hits,
-		L2Misses:            c.Misses,
-		L2Merges:            c.Merges,
-		L2WriteBacks:        c.WriteBacks,
-		L2Conflicts:         c.Conflicts,
-		L2Invalidations:     c.Invalidations,
-		L2BackInvalidations: c.BackInvalidations,
-		L2Upgrades:          c.Upgrades,
-		L2WritebackForwards: c.WritebackForwards,
-		L2OwnerForwards:     c.OwnerForwards,
-		L2DirOverflows:      c.DirOverflows,
-		L2DirBroadcasts:     c.DirBroadcasts,
-	}
-}
-
-// MissRatio returns L2 misses per fetch.
-func (c *BankedL2) MissRatio() float64 {
-	if c.Fetches == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Fetches)
-}
+func (c *BankedL2) Stats() Stats { return c.st }

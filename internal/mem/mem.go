@@ -51,60 +51,74 @@ type Memory interface {
 	Stats() Stats
 }
 
-// Stats are the counters a Memory accumulates. The L1 fields mirror
-// cache.Cache's; the L2 fields describe the banked shared L2, and are zero
-// on the L1 ports themselves: a System reports the shared counters once,
-// so aggregates never double-count.
+// Stats are the counters a Memory accumulates: the one list of memory
+// counters, which pipeline.Stats embeds, so the field names are the ones
+// a run result exposes. The L1 fields mirror cache.Cache's; the L2 fields
+// describe the banked shared L2, and are zero on the L1 ports themselves:
+// a System reports the shared counters once, so aggregates never
+// double-count.
 //
 //vpr:stats
 type Stats struct {
-	// L1.
-	Accesses     int64
-	Hits         int64
-	Misses       int64 // primary misses (MSHR allocations)
-	Merges       int64 // secondary misses folded into an MSHR
-	MSHRStalls   int64 // accesses rejected because every MSHR was busy
-	Evictions    int64 // dirty lines written back
-	PeakInFlight int
+	// L1. Every access counts exactly once as a hit, a merge, an MSHR
+	// stall or a primary miss: CacheAccesses == CacheHits +
+	// CacheMergedMiss + MSHRStallCycles + CacheMisses.
+	CacheAccesses   int64
+	CacheHits       int64
+	CacheMisses     int64 // primary misses (MSHR allocations)
+	CacheMergedMiss int64 // secondary misses folded into an MSHR
+	MSHRStallCycles int64 // accesses rejected because every MSHR was busy
+	CacheEvictions  int64 // dirty lines written back
+	PeakMSHRs       int
 
 	// SilentUpgrades counts stores that found a MESI/MOESI Exclusive
 	// copy and took ownership without any directory traffic — the E
 	// state's whole payoff. Zero under MSI (it has no E state).
 	SilentUpgrades int64
 
-	// L2.
-	L2Fetches    int64
+	// L2 (zero on the paper's infinite-L2 machine, which never fetches
+	// from an L2).
+	L2Fetches    int64 // L1 misses presented to the L2 (hits+misses+merges)
 	L2Hits       int64
 	L2Misses     int64
-	L2Merges     int64 // fetches folded into an in-flight refill (cross-core)
+	L2Merges     int64 // fetches folded into another core's in-flight refill
 	L2WriteBacks int64
-	L2Conflicts  int64 // fetches/write-backs that found the bank bus busy
+	L2Conflicts  int64 // line transfers that found their bank's bus busy
 
 	// Coherence (zero unless the System was built coherent).
+	// L2Invalidations counts only ownership-claim messages — upgrades and
+	// read-for-ownership fetches invalidating remote sharers — so it is
+	// zero whenever cores never share a line (namespaced address
+	// spaces). L2BackInvalidations counts the inclusion half: victims an
+	// L2 eviction forces out of their sharers' L1s, which happens under
+	// pure capacity pressure even without sharing.
 	L2Invalidations     int64 // sharing-driven invalidation messages to remote L1s
 	L2BackInvalidations int64 // inclusion: L2 victims invalidated out of sharer L1s
-	L2Upgrades          int64 // S→M ownership requests for present lines
-	L2WritebackForwards int64 // dirty remote copies forwarded through a bank
+	L2Upgrades          int64 // stores that asked the directory for ownership of a present line
+	L2WritebackForwards int64 // dirty remote copies forwarded through a bank into the L2
 
 	// Protocol/directory variants (zero under the default MSI/full-map
 	// selection, which keeps the golden pins byte-identical).
+	// L2OwnerForwards is MOESI's replacement for read-triggered
+	// L2WritebackForwards; the Dir counters measure the limited-pointer
+	// directory's precision loss and are zero on the exact full map.
 	L2OwnerForwards int64 // MOESI: dirty lines forwarded cache-to-cache, kept Owned
-	L2DirOverflows  int64 // limited pointers: sets that exhausted their budget
+	L2DirOverflows  int64 // limited pointers: sets whose sharer count exhausted the budget
 	L2DirBroadcasts int64 // limited pointers: invalidation rounds degraded to broadcast
 }
 
-// Add accumulates other into s (PeakInFlight takes the maximum).
+// Add accumulates other into s (PeakMSHRs takes the maximum).
 //
 //vpr:statsink Stats
 func (s *Stats) Add(other Stats) {
-	s.Accesses += other.Accesses
-	s.Hits += other.Hits
-	s.Misses += other.Misses
-	s.Merges += other.Merges
-	s.MSHRStalls += other.MSHRStalls
-	s.Evictions += other.Evictions
-	if other.PeakInFlight > s.PeakInFlight {
-		s.PeakInFlight = other.PeakInFlight
+	s.CacheAccesses += other.CacheAccesses
+	s.CacheHits += other.CacheHits
+	s.CacheMisses += other.CacheMisses
+	s.CacheMergedMiss += other.CacheMergedMiss
+	s.MSHRStallCycles += other.MSHRStallCycles
+	s.CacheEvictions += other.CacheEvictions
+	if other.PeakMSHRs > s.PeakMSHRs {
+		s.PeakMSHRs = other.PeakMSHRs
 	}
 	s.SilentUpgrades += other.SilentUpgrades
 	s.L2Fetches += other.L2Fetches

@@ -33,13 +33,13 @@ func TestL1MatchesCacheInfinite(t *testing.T) {
 		}
 		compareStreams(t, seed, c, l1)
 		want := Stats{
-			Accesses:     c.Accesses,
-			Hits:         c.Hits,
-			Misses:       c.Misses,
-			Merges:       c.Merges,
-			MSHRStalls:   c.MSHRStalls,
-			Evictions:    c.Evictions,
-			PeakInFlight: c.PeakInFlight,
+			CacheAccesses:   c.Accesses,
+			CacheHits:       c.Hits,
+			CacheMisses:     c.Misses,
+			CacheMergedMiss: c.Merges,
+			MSHRStallCycles: c.MSHRStalls,
+			CacheEvictions:  c.Evictions,
+			PeakMSHRs:       c.PeakInFlight,
 		}
 		if got := l1.Stats(); got != want {
 			t.Fatalf("seed %d: counters diverge:\n got %+v\nwant %+v", seed, got, want)
@@ -89,9 +89,9 @@ func TestL1MatchesCacheFiniteL2(t *testing.T) {
 		if h.Sum64() != pin.outcomes {
 			t.Errorf("seed %d: outcome hash %#x, want %#x", seed, h.Sum64(), pin.outcomes)
 		}
-		if l2.Hits != pin.l2Hits || l2.Misses != pin.l2Misses {
+		if l2.Stats().L2Hits != pin.l2Hits || l2.Stats().L2Misses != pin.l2Misses {
 			t.Errorf("seed %d: L2 hits/misses %d/%d, want %d/%d",
-				seed, l2.Hits, l2.Misses, pin.l2Hits, pin.l2Misses)
+				seed, l2.Stats().L2Hits, l2.Stats().L2Misses, pin.l2Hits, pin.l2Misses)
 		}
 	}
 }
@@ -181,11 +181,11 @@ func TestDirtyEvictionCost(t *testing.T) {
 		return conf.ReadyAt - (out.ReadyAt + 100), l1, l2
 	}
 	dirtyDelta, l1, l2 := evict(true)
-	if got := l1.Stats().Evictions; got != 1 {
+	if got := l1.Stats().CacheEvictions; got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
-	if l2.WriteBacks != 1 {
-		t.Fatalf("L2 write-backs = %d, want 1", l2.WriteBacks)
+	if l2.Stats().L2WriteBacks != 1 {
+		t.Fatalf("L2 write-backs = %d, want 1", l2.Stats().L2WriteBacks)
 	}
 	cleanDelta, _, _ := evict(false)
 	if dirtyDelta <= cleanDelta {
@@ -196,8 +196,8 @@ func TestDirtyEvictionCost(t *testing.T) {
 	if refetch.Hit {
 		t.Fatal("victim must have left the L1")
 	}
-	if l2.Hits != 1 {
-		t.Fatalf("re-fetch of the written-back victim: L2 hits = %d, want 1", l2.Hits)
+	if l2.Stats().L2Hits != 1 {
+		t.Fatalf("re-fetch of the written-back victim: L2 hits = %d, want 1", l2.Stats().L2Hits)
 	}
 }
 
@@ -228,8 +228,8 @@ func TestL2ConflictEviction(t *testing.T) {
 	step(16 * 1024)  // conflict line 0 out of the L1 (same L1 set)
 	step(2 * l2Size) // conflict the L1 again so line 0 is long gone
 	step(0)          // L1 miss AND L2 miss again: the L2 copy was evicted
-	if l2.Misses != 5 || l2.Hits != 0 {
-		t.Fatalf("L2 hits/misses = %d/%d, want 0/5 (conflict eviction)", l2.Hits, l2.Misses)
+	if l2.Stats().L2Misses != 5 || l2.Stats().L2Hits != 0 {
+		t.Fatalf("L2 hits/misses = %d/%d, want 0/5 (conflict eviction)", l2.Stats().L2Hits, l2.Stats().L2Misses)
 	}
 }
 
@@ -249,8 +249,8 @@ func TestBankBusConflictsDelayRefills(t *testing.T) {
 	}
 	a, _ := l1.Access(0, 0, false)
 	b, _ := l1.Access(0, 1<<20, false)
-	if l2.Conflicts != 1 {
-		t.Fatalf("conflicts = %d, want 1", l2.Conflicts)
+	if l2.Stats().L2Conflicts != 1 {
+		t.Fatalf("conflicts = %d, want 1", l2.Stats().L2Conflicts)
 	}
 	if want := int64(80); b.ReadyAt < want {
 		t.Fatalf("second refill at %d, want >= %d (queued behind the first transfer)", b.ReadyAt, want)
@@ -274,8 +274,8 @@ func TestCrossCoreRefillMerge(t *testing.T) {
 	b, _ := NewL1(cfg, l2)
 	outA, _ := a.Access(0, 0x1000, false)
 	outB, _ := b.Access(1, 0x1000, false)
-	if l2.Merges != 1 || l2.Misses != 1 {
-		t.Fatalf("merges/misses = %d/%d, want 1/1", l2.Merges, l2.Misses)
+	if l2.Stats().L2Merges != 1 || l2.Stats().L2Misses != 1 {
+		t.Fatalf("merges/misses = %d/%d, want 1/1", l2.Stats().L2Merges, l2.Stats().L2Misses)
 	}
 	// The merged core cannot complete before the refill it joined, and is
 	// far cheaper than a second full miss.
@@ -298,10 +298,10 @@ func TestSystemNamespacesCores(t *testing.T) {
 	sys.Port(0).Access(0, 0x2000, false)
 	sys.Port(1).Access(0, 0x2000, false)
 	l2 := sys.L2()
-	if l2.Misses != 2 || l2.Merges != 0 {
-		t.Fatalf("same VA on two cores: L2 misses/merges = %d/%d, want 2/0 (namespaced)", l2.Misses, l2.Merges)
+	if l2.Stats().L2Misses != 2 || l2.Stats().L2Merges != 0 {
+		t.Fatalf("same VA on two cores: L2 misses/merges = %d/%d, want 2/0 (namespaced)", l2.Stats().L2Misses, l2.Stats().L2Merges)
 	}
-	if got := sys.Stats().Accesses; got != 2 {
+	if got := sys.Stats().CacheAccesses; got != 2 {
 		t.Fatalf("system accesses = %d, want 2", got)
 	}
 
@@ -311,8 +311,8 @@ func TestSystemNamespacesCores(t *testing.T) {
 	}
 	shared.Port(0).Access(0, 0x2000, false)
 	shared.Port(1).Access(0, 0x2000, false)
-	if l2 := shared.L2(); l2.Misses != 1 || l2.Merges != 1 {
-		t.Fatalf("shared address space: L2 misses/merges = %d/%d, want 1/1 (refill merged)", l2.Misses, l2.Merges)
+	if l2 := shared.L2(); l2.Stats().L2Misses != 1 || l2.Stats().L2Merges != 1 {
+		t.Fatalf("shared address space: L2 misses/merges = %d/%d, want 1/1 (refill merged)", l2.Stats().L2Misses, l2.Stats().L2Merges)
 	}
 }
 
@@ -345,9 +345,9 @@ func TestNamespacedCoresDoNotEvictEachOther(t *testing.T) {
 	step(1, conflictStride)
 	step(0, 0)
 	step(1, 0)
-	if l2 := sys.L2(); l2.Hits != 2 {
+	if l2 := sys.L2(); l2.Stats().L2Hits != 2 {
 		t.Fatalf("re-fetches hit %d times, want 2: namespaced cores alias in the L2 index (misses %d)",
-			l2.Hits, l2.Misses)
+			l2.Stats().L2Hits, l2.Stats().L2Misses)
 	}
 }
 

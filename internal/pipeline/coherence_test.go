@@ -3,6 +3,7 @@ package pipeline
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -45,16 +46,21 @@ func runCoherenceMachine(t *testing.T, shared, coherent bool, gens []trace.Gener
 // statistics were captured from the PR-4 code on exactly these
 // configurations (2 cores, default machine + default shared L2,
 // store-heavy synthetic streams, seed 5, 12000 instructions per core)
-// before the MSI directory existed.
+// before the MSI directory existed. CacheHits, CacheEvictions and
+// L2WriteBacks were read from the memory system's own counters on these
+// runs before Stats embedded mem.Stats.
 func TestMulticoreCoherenceOffByteIdentical(t *testing.T) {
 	base := Stats{
 		Committed: 24000, Issued: 24802,
 		CondBranches: 3730, Mispredicts: 448,
 		Loads: 5888, Stores: 7266, LoadsForwarded: 328,
 		MemViolations: 104, SquashedByMem: 2812,
-		CacheMisses: 520, CacheMergedMiss: 56, PeakMSHRs: 8,
-		L2Fetches: 520, L2Hits: 126,
-		RegsFreed: 14730,
+		MemStats: MemStats{
+			CacheHits: 12508, CacheMisses: 520, CacheMergedMiss: 56,
+			CacheEvictions: 206, PeakMSHRs: 8,
+			L2Fetches: 520, L2Hits: 126, L2WriteBacks: 206,
+		},
+		Stats: core.Stats{RegsFreed: 14730},
 	}
 	namespaced := base
 	namespaced.Cycles = 11385
@@ -138,6 +144,7 @@ func TestMulticoreCoherenceDeterministic(t *testing.T) {
 	if a.Arch() != b.Arch() {
 		t.Errorf("two identical coherent runs differ:\n%+v\n%+v", a.Arch(), b.Arch())
 	}
+	checkL1Accounting(t, a)
 }
 
 // TestMulticoreCoherenceValidation: coherence without the shared L2 is

@@ -97,4 +97,5 @@ loop:   ldq  r3, 0(r2)
 	if a.WallSeconds <= 0 || a.CyclesPerSec <= 0 || a.InstrsPerSec <= 0 {
 		t.Errorf("throughput fields not populated: %+v", a)
 	}
+	checkL1Accounting(t, a)
 }

@@ -270,8 +270,9 @@ func (m *Multicore) runLoop(ctx context.Context, maxCommitsPerCore int64) error 
 }
 
 // Aggregate sums the per-core statistics: counters add, cycles and peak
-// occupancies take the maximum, and the shared L2's counters are folded
-// in exactly once. Throughput fields reflect the lockstep loop's host
+// occupancies take the maximum, and with a shared hierarchy the memory
+// counters are the System's, which sums every L1 and counts the shared
+// L2 exactly once. Throughput reflects the lockstep loop's host
 // wall-clock.
 //
 //vpr:statsink Stats
@@ -281,26 +282,9 @@ func (m *Multicore) Aggregate() Stats {
 		addStats(&agg, c.Stats())
 	}
 	if m.sys != nil {
-		l2 := m.sys.L2().Stats()
-		agg.L2Fetches = l2.L2Fetches
-		agg.L2Hits = l2.L2Hits
-		agg.L2Misses = l2.L2Misses
-		agg.L2Merges = l2.L2Merges
-		agg.L2Conflicts = l2.L2Conflicts
-		agg.L2Invalidations = l2.L2Invalidations
-		agg.L2BackInvalidations = l2.L2BackInvalidations
-		agg.L2Upgrades = l2.L2Upgrades
-		agg.L2WritebackForwards = l2.L2WritebackForwards
-		agg.L2OwnerForwards = l2.L2OwnerForwards
-		agg.L2DirOverflows = l2.L2DirOverflows
-		agg.L2DirBroadcasts = l2.L2DirBroadcasts
+		agg.MemStats = m.sys.Stats()
 	}
-	agg.WallSeconds, agg.CyclesPerSec, agg.InstrsPerSec = 0, 0, 0
-	if m.wallNanos > 0 {
-		agg.WallSeconds = float64(m.wallNanos) / 1e9
-		agg.CyclesPerSec = float64(agg.Cycles) / agg.WallSeconds
-		agg.InstrsPerSec = float64(agg.Committed) / agg.WallSeconds
-	}
+	agg.Throughput = throughput(m.wallNanos, agg.Cycles, agg.Committed)
 	return agg
 }
 
@@ -315,12 +299,9 @@ func addStats(agg *Stats, st Stats) {
 	}
 	agg.Committed += st.Committed
 	agg.Issued += st.Issued
-	agg.Reexecutions += st.Reexecutions
-	agg.IssueBlocks += st.IssueBlocks
-	agg.RenameRegStall += st.RenameRegStall
+	agg.Stats.Add(st.Stats)
 	agg.ROBStalls += st.ROBStalls
 	agg.IQStalls += st.IQStalls
-	agg.EarlyReleases += st.EarlyReleases
 	agg.CondBranches += st.CondBranches
 	agg.Mispredicts += st.Mispredicts
 	agg.Loads += st.Loads
@@ -329,30 +310,9 @@ func addStats(agg *Stats, st Stats) {
 	agg.MemViolations += st.MemViolations
 	agg.SquashedByMem += st.SquashedByMem
 	agg.CommitSBStalls += st.CommitSBStalls
-	agg.CacheAccesses += st.CacheAccesses
-	agg.CacheMisses += st.CacheMisses
-	agg.CacheMergedMiss += st.CacheMergedMiss
-	agg.MSHRStallCycles += st.MSHRStallCycles
-	if st.PeakMSHRs > agg.PeakMSHRs {
-		agg.PeakMSHRs = st.PeakMSHRs
-	}
-	agg.L2Fetches += st.L2Fetches
-	agg.L2Hits += st.L2Hits
-	agg.L2Misses += st.L2Misses
-	agg.L2Merges += st.L2Merges
-	agg.L2Conflicts += st.L2Conflicts
-	agg.L2Invalidations += st.L2Invalidations
-	agg.L2BackInvalidations += st.L2BackInvalidations
-	agg.L2Upgrades += st.L2Upgrades
-	agg.L2WritebackForwards += st.L2WritebackForwards
-	agg.L2OwnerForwards += st.L2OwnerForwards
-	agg.L2DirOverflows += st.L2DirOverflows
-	agg.L2DirBroadcasts += st.L2DirBroadcasts
-	agg.SilentUpgrades += st.SilentUpgrades
+	agg.MemStats.Add(st.MemStats)
 	agg.ROBOccupancySum += st.ROBOccupancySum
 	agg.IQOccupancySum += st.IQOccupancySum
 	agg.IntRegsInUseSum += st.IntRegsInUseSum
 	agg.FPRegsInUseSum += st.FPRegsInUseSum
-	agg.RegLifetimeSum += st.RegLifetimeSum
-	agg.RegsFreed += st.RegsFreed
 }

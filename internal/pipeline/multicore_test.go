@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/mem"
 	"repro/internal/synth"
@@ -116,70 +117,90 @@ func TestMulticoreSingleCoreByteIdentical(t *testing.T) {
 // cache.Config used to carry (64 KB L2, 100-cycle memory latency). That
 // mode is gone; the Arch() values below were captured from it on these
 // exact randomized synthetic workloads, and must still be reproduced.
+// CacheHits, CacheEvictions and L2WriteBacks were read from the memory
+// system's own counters on these runs before Stats embedded mem.Stats.
 func TestMulticoreMatchesPrivateL2Mode(t *testing.T) {
 	pins := map[string]Stats{
 		"seed1-miss0.05": {
-			Cycles: 48411, Committed: 30000, Issued: 30292, RenameRegStall: 26858,
+			Cycles: 48411, Committed: 30000, Issued: 30292,
 			CondBranches: 4565, Mispredicts: 570, Loads: 7455, Stores: 3007,
 			LoadsForwarded: 97, MemViolations: 35, SquashedByMem: 809,
-			CacheAccesses: 10456, CacheMisses: 691, CacheMergedMiss: 16, PeakMSHRs: 8,
-			L2Fetches: 691, L2Hits: 27, L2Misses: 664,
 			ROBOccupancySum: 1658807, IQOccupancySum: 843689,
 			IntRegsInUseSum: 2796599, FPRegsInUseSum: 1549152,
-			RegLifetimeSum: 2676489, RegsFreed: 23093,
+			Stats: core.Stats{RenameRegStall: 26858, RegLifetimeSum: 2676489, RegsFreed: 23093},
+			MemStats: MemStats{
+				CacheAccesses: 10456, CacheHits: 9749, CacheMisses: 691,
+				CacheMergedMiss: 16, CacheEvictions: 102, PeakMSHRs: 8,
+				L2Fetches: 691, L2Hits: 27, L2Misses: 664, L2WriteBacks: 102,
+			},
 		},
 		"seed1-miss0.25": {
-			Cycles: 67063, Committed: 30000, Issued: 30108, RenameRegStall: 62857,
+			Cycles: 67063, Committed: 30000, Issued: 30108,
 			CondBranches: 1831, Mispredicts: 165, Loads: 8961, Stores: 2387,
 			LoadsForwarded: 215, MemViolations: 11, SquashedByMem: 256,
-			CacheAccesses: 28124, CacheMisses: 3258, CacheMergedMiss: 64,
-			MSHRStallCycles: 16952, PeakMSHRs: 8,
-			L2Fetches: 3258, L2Hits: 256, L2Misses: 3002,
 			ROBOccupancySum: 3314241, IQOccupancySum: 1047845,
 			IntRegsInUseSum: 2885469, FPRegsInUseSum: 4254993,
-			RegLifetimeSum: 6833377, RegsFreed: 26002,
+			Stats: core.Stats{RenameRegStall: 62857, RegLifetimeSum: 6833377, RegsFreed: 26002},
+			MemStats: MemStats{
+				CacheAccesses: 28124, CacheHits: 7850, CacheMisses: 3258,
+				CacheMergedMiss: 64, MSHRStallCycles: 16952,
+				CacheEvictions: 839, PeakMSHRs: 8, L2Fetches: 3258,
+				L2Hits: 256, L2Misses: 3002, L2WriteBacks: 839,
+			},
 		},
 		"seed2-miss0.05": {
-			Cycles: 47101, Committed: 30000, Issued: 30170, RenameRegStall: 28067,
+			Cycles: 47101, Committed: 30000, Issued: 30170,
 			CondBranches: 4461, Mispredicts: 598, Loads: 7635, Stores: 2994,
 			LoadsForwarded: 81, MemViolations: 28, SquashedByMem: 655,
-			CacheAccesses: 10614, CacheMisses: 644, CacheMergedMiss: 14, PeakMSHRs: 7,
-			L2Fetches: 644, L2Hits: 1, L2Misses: 643,
 			ROBOccupancySum: 1607623, IQOccupancySum: 805183,
 			IntRegsInUseSum: 2728942, FPRegsInUseSum: 1507232,
-			RegLifetimeSum: 2609134, RegsFreed: 23054,
+			Stats: core.Stats{RenameRegStall: 28067, RegLifetimeSum: 2609134, RegsFreed: 23054},
+			MemStats: MemStats{
+				CacheAccesses: 10614, CacheHits: 9956, CacheMisses: 644,
+				CacheMergedMiss: 14, CacheEvictions: 74, PeakMSHRs: 7,
+				L2Fetches: 644, L2Hits: 1, L2Misses: 643, L2WriteBacks: 74,
+			},
 		},
 		"seed2-miss0.25": {
-			Cycles: 68703, Committed: 30000, Issued: 30060, RenameRegStall: 64381,
+			Cycles: 68703, Committed: 30000, Issued: 30060,
 			CondBranches: 1750, Mispredicts: 155, Loads: 9121, Stores: 2435,
 			LoadsForwarded: 264, MemViolations: 10, SquashedByMem: 164,
-			CacheAccesses: 30166, CacheMisses: 3294, CacheMergedMiss: 58,
-			MSHRStallCycles: 18845, PeakMSHRs: 8,
-			L2Fetches: 3294, L2Hits: 256, L2Misses: 3038,
 			ROBOccupancySum: 3384029, IQOccupancySum: 1068139,
 			IntRegsInUseSum: 2945986, FPRegsInUseSum: 4362717,
-			RegLifetimeSum: 6996726, RegsFreed: 25958,
+			Stats: core.Stats{RenameRegStall: 64381, RegLifetimeSum: 6996726, RegsFreed: 25958},
+			MemStats: MemStats{
+				CacheAccesses: 30166, CacheHits: 7969, CacheMisses: 3294,
+				CacheMergedMiss: 58, MSHRStallCycles: 18845,
+				CacheEvictions: 841, PeakMSHRs: 8, L2Fetches: 3294,
+				L2Hits: 256, L2Misses: 3038, L2WriteBacks: 841,
+			},
 		},
 		"seed3-miss0.05": {
-			Cycles: 45710, Committed: 30000, Issued: 30180, RenameRegStall: 25465,
+			Cycles: 45710, Committed: 30000, Issued: 30180,
 			CondBranches: 4448, Mispredicts: 605, Loads: 7498, Stores: 3023,
 			LoadsForwarded: 94, MemViolations: 32, SquashedByMem: 682,
-			CacheAccesses: 10498, CacheMisses: 688, CacheMergedMiss: 9, PeakMSHRs: 8,
-			L2Fetches: 688, L2Hits: 24, L2Misses: 664,
 			ROBOccupancySum: 1545818, IQOccupancySum: 805113,
 			IntRegsInUseSum: 2630512, FPRegsInUseSum: 1462720,
-			RegLifetimeSum: 2514128, RegsFreed: 23074,
+			Stats: core.Stats{RenameRegStall: 25465, RegLifetimeSum: 2514128, RegsFreed: 23074},
+			MemStats: MemStats{
+				CacheAccesses: 10498, CacheHits: 9801, CacheMisses: 688,
+				CacheMergedMiss: 9, CacheEvictions: 98, PeakMSHRs: 8,
+				L2Fetches: 688, L2Hits: 24, L2Misses: 664, L2WriteBacks: 98,
+			},
 		},
 		"seed3-miss0.25": {
-			Cycles: 67505, Committed: 30000, Issued: 30058, RenameRegStall: 63907,
+			Cycles: 67505, Committed: 30000, Issued: 30058,
 			CondBranches: 1753, Mispredicts: 144, Loads: 8967, Stores: 2457,
 			LoadsForwarded: 263, MemViolations: 8, SquashedByMem: 147,
-			CacheAccesses: 29689, CacheMisses: 3325, CacheMergedMiss: 73,
-			MSHRStallCycles: 18501, PeakMSHRs: 8,
-			L2Fetches: 3325, L2Hits: 257, L2Misses: 3068,
 			ROBOccupancySum: 3333010, IQOccupancySum: 1045309,
 			IntRegsInUseSum: 2892106, FPRegsInUseSum: 4295478,
-			RegLifetimeSum: 6879742, RegsFreed: 25917,
+			Stats: core.Stats{RenameRegStall: 63907, RegLifetimeSum: 6879742, RegsFreed: 25917},
+			MemStats: MemStats{
+				CacheAccesses: 29689, CacheHits: 7790, CacheMisses: 3325,
+				CacheMergedMiss: 73, MSHRStallCycles: 18501,
+				CacheEvictions: 831, PeakMSHRs: 8, L2Fetches: 3325,
+				L2Hits: 257, L2Misses: 3068, L2WriteBacks: 831,
+			},
 		},
 	}
 	for seed := int64(1); seed <= 3; seed++ {
@@ -249,6 +270,7 @@ func TestMulticoreDeterministic(t *testing.T) {
 	if a.L2Hits+a.L2Misses == 0 {
 		t.Error("shared L2 saw no fetches")
 	}
+	checkL1Accounting(t, a)
 }
 
 // TestMulticoreSharedL2Contention: cores contending for the same banks

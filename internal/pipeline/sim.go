@@ -481,37 +481,12 @@ func (s *Sim) Done() bool {
 func (s *Sim) Stats() Stats {
 	st := s.stats
 	st.Cycles = s.cycle
-	ms := s.dmem.Stats()
-	st.CacheAccesses = ms.Accesses
-	st.CacheMisses = ms.Misses
-	st.CacheMergedMiss = ms.Merges
-	st.MSHRStallCycles = ms.MSHRStalls
-	st.PeakMSHRs = ms.PeakInFlight
-	st.SilentUpgrades = ms.SilentUpgrades
-	st.L2Fetches = ms.L2Fetches
-	st.L2Hits = ms.L2Hits
-	st.L2Misses = ms.L2Misses
-	st.L2Merges = ms.L2Merges
-	st.L2Conflicts = ms.L2Conflicts
+	st.MemStats = s.dmem.Stats()
 	for _, th := range s.threads {
-		lifetime, freed := th.ren.PressureStats()
-		st.RegLifetimeSum += lifetime
-		st.RegsFreed += freed
-		if c, ok := th.ren.(*core.Conventional); ok {
-			st.RenameRegStall += c.RenameStalls
-			st.EarlyReleases += c.EarlyReleases
-		}
-		if v, ok := th.ren.(*core.VP); ok {
-			st.Reexecutions += v.AllocFailures
-			st.IssueBlocks += v.IssueBlocks
-		}
+		st.Stats.Add(th.ren.Stats())
 	}
 	st.IssueBlocks += s.deferredIssueBlocks
-	if s.wallNanos > 0 {
-		st.WallSeconds = float64(s.wallNanos) / 1e9
-		st.CyclesPerSec = float64(st.Cycles) / st.WallSeconds
-		st.InstrsPerSec = float64(st.Committed) / st.WallSeconds
-	}
+	st.Throughput = throughput(s.wallNanos, st.Cycles, st.Committed)
 	return st
 }
 

@@ -7,8 +7,20 @@ import (
 	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/emu"
+	"repro/internal/isa"
 	"repro/internal/trace"
 )
+
+// checkL1Accounting asserts the L1's accounting identity: mem.L1.Access
+// counts every access exactly once, as a hit, a secondary-miss merge, an
+// MSHR-stall retry or a primary miss.
+func checkL1Accounting(t *testing.T, st Stats) {
+	t.Helper()
+	if sum := st.CacheHits + st.CacheMergedMiss + st.MSHRStallCycles + st.CacheMisses; st.CacheAccesses != sum {
+		t.Errorf("L1 accounting: %d accesses, but hits %d + merges %d + MSHR stalls %d + misses %d = %d",
+			st.CacheAccesses, st.CacheHits, st.CacheMergedMiss, st.MSHRStallCycles, st.CacheMisses, sum)
+	}
+}
 
 // runSrc assembles src, traces it with the emulator and runs it through a
 // simulator with the given config (Debug and ValueCheck forced on).
@@ -103,6 +115,20 @@ func TestDividerIsUnpipelined(t *testing.T) {
 	// completing ≈ 137, commit ≈ 138 → cycles ≈ 139.
 	if st.Cycles < 135 || st.Cycles > 145 {
 		t.Errorf("cycles = %d, want ≈ 139 (third divide serialized)", st.Cycles)
+	}
+}
+
+// TestFUOccupancyFitsReleaseWheel: no Config field reaches a functional
+// unit's occupancy; it comes from the isa op table alone (Latency for the
+// unpipelined dividers, one cycle otherwise). Every op's latency must stay
+// inside the pools' release-wheel horizon, so a future long-latency op
+// fails here instead of panicking a run in poolState.take.
+func TestFUOccupancyFitsReleaseWheel(t *testing.T) {
+	horizon := len(poolState{}.rel)
+	for _, op := range isa.Opcodes() {
+		if lat := op.Info().Latency; lat < 1 || lat >= horizon {
+			t.Errorf("%s: latency %d outside the release wheel's [1, %d) horizon", op, lat, horizon)
+		}
 	}
 }
 

@@ -67,6 +67,7 @@ func TestSMTTwoThreadsComplete(t *testing.T) {
 		if !sim.Done() {
 			t.Fatalf("%s: not drained", scheme)
 		}
+		checkL1Accounting(t, st)
 	}
 }
 

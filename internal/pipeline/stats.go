@@ -1,10 +1,24 @@
 package pipeline
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/core"
+	"repro/internal/mem"
+)
+
+// MemStats is the memory hierarchy's counter list (L1, shared L2,
+// coherence), embedded in Stats under this name.
+type MemStats = mem.Stats
 
 // Stats aggregates everything a run measures. IPC (committed instructions
 // per cycle) is the paper's headline metric; the register-pressure and
 // re-execution numbers support its secondary claims.
+//
+// Each layer owns its counter list and Stats embeds it, so every counter
+// is a promoted field (st.RenameRegStall, st.CacheMisses, st.WallSeconds):
+// core.Stats is the renamer's, MemStats the memory hierarchy's and
+// Throughput the host's. The fields declared here are the pipeline's own.
 //
 //vpr:stats
 type Stats struct {
@@ -12,55 +26,27 @@ type Stats struct {
 	Committed int64
 	Issued    int64 // issue events, counting re-executions
 
-	// Renaming behaviour.
-	Reexecutions   int64 // write-back allocation failures (VP write-back)
-	IssueBlocks    int64 // issue allocation refusals (VP issue)
-	RenameRegStall int64 // decode stalls with an empty free list (conventional)
-	ROBStalls      int64 // decode stalls on a full reorder buffer
-	IQStalls       int64 // decode stalls on a full instruction queue
-	EarlyReleases  int64 // conventional early-release ablation events
+	// Renaming: the renamer's counters (register-file stalls, early
+	// releases, VP re-executions and issue blocks, register lifetimes).
+	core.Stats
+	ROBStalls int64 // decode stalls on a full reorder buffer
+	IQStalls  int64 // decode stalls on a full instruction queue
 
 	// Branches.
 	CondBranches int64
 	Mispredicts  int64
 
-	// Memory.
-	Loads           int64
-	Stores          int64
-	LoadsForwarded  int64
-	MemViolations   int64 // speculative disambiguation squashes
-	SquashedByMem   int64 // instructions flushed by those squashes
-	CommitSBStalls  int64 // commit blocked on a full store buffer
-	CacheAccesses   int64
-	CacheMisses     int64 // primary misses
-	CacheMergedMiss int64
-	MSHRStallCycles int64
-	PeakMSHRs       int
-
-	// Second level (zero on the paper's infinite-L2 machine): the banked
-	// shared L2 of the Multicore runner, whose counters are folded in
-	// once, by Multicore.Aggregate, not per core.
-	L2Fetches   int64 // L1 misses presented to the L2 (hits+misses+merges)
-	L2Hits      int64
-	L2Misses    int64
-	L2Merges    int64 // fetches folded into another core's in-flight refill
-	L2Conflicts int64 // line transfers that found their L2 bank bus busy
-
-	// Coherence over the shared L2 (all zero unless
-	// MulticoreConfig.Coherence is enabled). L2Invalidations counts only
-	// sharing-driven messages and is therefore zero whenever cores never
-	// share a line (namespaced address spaces); upgrades and inclusion
-	// back-invalidations occur even then. The last four fields measure
-	// the non-default protocol/directory selections and stay zero under
-	// MSI over the full map (the golden-pinned default).
-	L2Invalidations     int64 // sharing-driven invalidation messages to remote L1s
-	L2BackInvalidations int64 // inclusion: L2 victims invalidated out of sharer L1s
-	L2Upgrades          int64 // store S→M ownership requests for present lines
-	L2WritebackForwards int64 // dirty remote L1 copies forwarded through a bank
-	L2OwnerForwards     int64 // MOESI: dirty lines forwarded cache-to-cache, kept Owned
-	L2DirOverflows      int64 // limited pointers: sets that exhausted their budget
-	L2DirBroadcasts     int64 // limited pointers: invalidation rounds gone broadcast
-	SilentUpgrades      int64 // MESI/MOESI: E→M stores with zero directory traffic
+	// Memory: the pipeline's load/store counters, then the hierarchy's
+	// (L1; the banked shared L2, zero on the paper's infinite-L2 machine
+	// and folded in once, by Multicore.Aggregate, not per core; and
+	// coherence over it, zero unless MulticoreConfig.Coherence is set).
+	Loads          int64
+	Stores         int64
+	LoadsForwarded int64
+	MemViolations  int64 // speculative disambiguation squashes
+	SquashedByMem  int64 // instructions flushed by those squashes
+	CommitSBStalls int64 // commit blocked on a full store buffer
+	MemStats
 
 	// Occupancy integrals (divide by Cycles for averages).
 	ROBOccupancySum int64
@@ -68,27 +54,41 @@ type Stats struct {
 	IntRegsInUseSum int64
 	FPRegsInUseSum  int64
 
-	// Register-lifetime accounting (the §3.1 pressure metric measured in
-	// vivo): total cycles freed registers were held, and how many were
-	// freed.
-	RegLifetimeSum int64
-	RegsFreed      int64
+	// Host-side simulator throughput, excluded from Arch().
+	Throughput
+}
 
-	// Kernel throughput: host wall-clock time accumulated inside the run
-	// loop and the derived simulation rates. These measure the simulator,
-	// not the simulated machine — they vary run to run and are excluded
-	// from Arch(), the architectural view determinism and differential
-	// tests compare.
+// Throughput is the kernel's host-side speed: wall-clock time accumulated
+// inside the run loop and the derived simulation rates. It measures the
+// simulator, not the simulated machine — it varies run to run, which is
+// why Arch(), the architectural view determinism and differential tests
+// compare, zeroes it.
+type Throughput struct {
 	WallSeconds  float64
 	CyclesPerSec float64
 	InstrsPerSec float64
 }
 
-// Arch returns the architectural statistics only: the throughput fields,
-// which depend on host wall-clock time, are zeroed. Two runs of the same
+// throughput derives the rates of a run that simulated cycles and
+// committed instructions in wallNanos of host time (zero if none was
+// measured).
+func throughput(wallNanos, cycles, committed int64) Throughput {
+	if wallNanos <= 0 {
+		return Throughput{}
+	}
+	secs := float64(wallNanos) / 1e9
+	return Throughput{
+		WallSeconds:  secs,
+		CyclesPerSec: float64(cycles) / secs,
+		InstrsPerSec: float64(committed) / secs,
+	}
+}
+
+// Arch returns the architectural statistics only: Throughput, which
+// depends on host wall-clock time, is zeroed. Two runs of the same
 // workload and configuration produce identical Arch() values.
 func (s Stats) Arch() Stats {
-	s.WallSeconds, s.CyclesPerSec, s.InstrsPerSec = 0, 0, 0
+	s.Throughput = Throughput{}
 	return s
 }
 

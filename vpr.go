@@ -83,7 +83,9 @@ const (
 	DisambConservative = pipeline.DisambConservative // loads wait for older store addresses
 )
 
-// Stats is the statistics block a run produces.
+// Stats is the statistics block a run produces. It embeds the renamer's,
+// the memory hierarchy's (MemStats) and the host's counter structs, so
+// every counter reads as a field of Stats.
 type Stats = pipeline.Stats
 
 // RunSpec describes one simulation (workload or custom generator, machine
@@ -190,9 +192,8 @@ func DirectoryKinds() []DirectoryKindInfo { return mem.DirectoryKinds() }
 // "limited[:N]"; "" = fullmap) without building anything.
 func ParseDirectoryKind(kind string) error { return mem.ParseDirectoryKind(kind) }
 
-// MemStats are the memory-hierarchy counters a Memory port accumulates
-// (pipeline.Stats carries the per-run view; this is the raw form the
-// internal hierarchy reports).
+// MemStats are the memory-hierarchy counters a Memory port or a whole
+// hierarchy accumulates; Stats embeds them.
 type MemStats = mem.Stats
 
 // DefaultConfig returns the paper's machine: 8-way out-of-order, 128-entry
