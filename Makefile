@@ -7,22 +7,13 @@ GO ?= go
 # included.
 check: vet build test perfbench-check
 
-# Waiver ratchet: vplint fails when the tree's total waiver count
-# (//vpr:allowalloc, statsexempt, nocachekey, detexempt) exceeds this
-# baseline. Lower it when a waiver is removed; raising it needs a
-# justification in the change that does so. The baseline covers the
-# scanoracle variant, which carries the extra scan-kernel waivers (52 on
-# the default tags as of this writing).
-VPLINT_MAX_WAIVERS ?= 54
-
 # Invariant lint: the vplint analyzers (docs/LINTING.md) over the whole
 # module, in both build-tag variants so the scan oracle stays analyzable.
-# The binary is built once and reused; only the loader's go-list pass
-# differs between the variants.
+# `go test ./...` runs the same analyzers through internal/lint's
+# TestRepoClean, which also pins each variant's waiver count.
 lint:
-	$(GO) build -o bin/vplint ./cmd/vplint
-	./bin/vplint -maxwaivers $(VPLINT_MAX_WAIVERS) ./...
-	./bin/vplint -maxwaivers $(VPLINT_MAX_WAIVERS) -tags scanoracle ./...
+	$(GO) run ./cmd/vplint ./...
+	$(GO) run ./cmd/vplint -tags scanoracle ./...
 
 vet:
 	$(GO) vet ./...

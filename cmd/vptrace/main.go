@@ -33,6 +33,12 @@ func main() {
 		load     = flag.String("load", "", "analyse a previously saved trace file instead of a workload")
 	)
 	flag.Parse()
+	// A non-positive budget would analyse, or save, an empty trace.
+	if *instr <= 0 {
+		fmt.Fprintf(os.Stderr, "vptrace: -instr must be positive, have %d\n", *instr)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *save != "" {
 		gen, err := vpr.WorkloadGenerator(*workload)

@@ -195,8 +195,6 @@ type Renamer interface {
 // Stats are the counters a Renamer accumulates: the one list of renaming
 // counters, which pipeline.Stats embeds. The first four count one
 // scheme's events each and stay zero under the other schemes.
-//
-//vpr:stats
 type Stats struct {
 	RenameRegStall int64 // conventional: rename refusals with an empty free list
 	EarlyReleases  int64 // conventional: early-release ablation events
@@ -211,8 +209,6 @@ type Stats struct {
 }
 
 // Add accumulates other into s.
-//
-//vpr:statsink Stats
 func (s *Stats) Add(other Stats) {
 	s.RenameRegStall += other.RenameRegStall
 	s.EarlyReleases += other.EarlyReleases

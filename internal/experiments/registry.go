@@ -87,8 +87,6 @@ func (e Experiment) Run(ctx context.Context, r Runner, opts Options) (any, error
 
 // registry lists every experiment in the paper's reporting order; the
 // CLIs and the vpr facade enumerate it instead of hand-maintaining lists.
-//
-//vpr:registry experiments
 var registry = []Experiment{
 	{
 		Name:       "table2",
@@ -191,8 +189,6 @@ var registry = []Experiment{
 }
 
 // Registry returns the experiments in reporting order.
-//
-//vpr:lookup experiments
 func Registry() []Experiment {
 	out := make([]Experiment, len(registry))
 	copy(out, registry)
@@ -200,8 +196,6 @@ func Registry() []Experiment {
 }
 
 // Names returns the registered experiment names in reporting order.
-//
-//vpr:lookup experiments
 func Names() []string {
 	names := make([]string, len(registry))
 	for i, e := range registry {
@@ -211,8 +205,6 @@ func Names() []string {
 }
 
 // ByName finds an experiment.
-//
-//vpr:lookup experiments
 func ByName(name string) (Experiment, bool) {
 	for _, e := range registry {
 		if e.Name == name {

@@ -14,15 +14,9 @@ import (
 //	//vpr:hotpath                    on a func: per-cycle kernel root
 //	//vpr:coldpath                   on a func: cut hot-path traversal here
 //	//vpr:allowalloc [reason]        on/above a line: waive one hotpathalloc finding
-//	//vpr:stats                      on a struct: counters that must be aggregated
-//	//vpr:statsink TYPE              on a func: aggregates TYPE's counters
-//	//vpr:statsexempt [reason]       on a field: not an aggregated counter
 //	//vpr:cachekey                   on a struct: rendered into the result-cache key
 //	//vpr:keyfunc TYPE               on a func: canonical key renderer for TYPE
 //	//vpr:nocachekey [reason]        on a field: observer-only, excluded from the key
-//	//vpr:registry NAMESPACE         on a package-level var: static registration table
-//	//vpr:register NAMESPACE         on a func: runtime registration entry point
-//	//vpr:lookup NAMESPACE           on a func: registry lookup entry point
 //	//vpr:wallclock [reason]         on a func: host-time throughput accounting, exempt from detsource
 //	//vpr:detpkg                     on a package doc: package is determinism-checked by detsource
 //	//vpr:detexempt [reason]         on/above a line: waive one detsource finding
@@ -218,34 +212,6 @@ func indexFuncs(pkgs []*analysis.Package) map[string]funcDecl {
 	return idx
 }
 
-// enclosure classifies where in a file a position sits: inside an init
-// function, inside some other function, or at package level (var/const
-// initializers, type declarations).
-type enclosure int
-
-const (
-	atPackageLevel enclosure = iota
-	inInitFunc
-	inOtherFunc
-)
-
-// encloserAt walks the file's top-level declarations to classify pos.
-func encloserAt(file *ast.File, pos token.Pos) enclosure {
-	for _, d := range file.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		if fd.Body.Pos() <= pos && pos <= fd.Body.End() {
-			if fd.Name.Name == "init" && fd.Recv == nil {
-				return inInitFunc
-			}
-			return inOtherFunc
-		}
-	}
-	return atPackageLevel
-}
-
 // funcDeclAt returns the top-level function declaration whose body spans
 // pos, or nil for package-level positions.
 func funcDeclAt(file *ast.File, pos token.Pos) *ast.FuncDecl {
@@ -355,19 +321,13 @@ type directiveSpec struct {
 }
 
 var directiveTable = map[string]directiveSpec{
-	"hotpath":     {where: onFunc},
-	"coldpath":    {where: onFunc},
-	"allowalloc":  {where: onLine, reason: true},
-	"stats":       {where: onStructType},
-	"statsink":    {where: onFunc, args: 1},
-	"statsexempt": {where: onField, reason: true},
-	"cachekey":    {where: onStructType},
-	"keyfunc":     {where: onFunc, args: 1},
-	"nocachekey":  {where: onField, reason: true},
-	"registry":    {where: onVar, args: 1},
-	"register":    {where: onFunc, args: 1},
-	"lookup":      {where: onFunc, args: 1},
-	"wallclock":   {where: onFunc, reason: true},
-	"detpkg":      {where: onPackage},
-	"detexempt":   {where: onLine, reason: true},
+	"hotpath":    {where: onFunc},
+	"coldpath":   {where: onFunc},
+	"allowalloc": {where: onLine, reason: true},
+	"cachekey":   {where: onStructType},
+	"keyfunc":    {where: onFunc, args: 1},
+	"nocachekey": {where: onField, reason: true},
+	"wallclock":  {where: onFunc, reason: true},
+	"detpkg":     {where: onPackage},
+	"detexempt":  {where: onLine, reason: true},
 }

@@ -11,15 +11,15 @@ import (
 
 // AnnotCheck validates the //vpr: directives themselves against the
 // known-directive table in annot.go. Every other analyzer keys off these
-// annotations, so a typo (//vpr:hotpth) or a misplaced directive (//vpr:stats
-// on a function) silently disables its check — exactly the failure mode a
+// annotations, so a typo (//vpr:hotpth) or a misplaced directive
+// (//vpr:cachekey on a function) silently disables its check — exactly the failure mode a
 // mechanized invariant suite exists to rule out. AnnotCheck reports:
 //
 //   - unknown directive names, with the nearest-miss table listed
 //   - directives in a syntactic position their spec does not allow
 //     (e.g. a line waiver in a type doc, a field directive on a func)
-//   - wrong argument counts for directives taking a TYPE or NAMESPACE
-//     argument, and arguments on directives that take none
+//   - wrong argument counts for directives taking a TYPE argument, and
+//     arguments on directives that take none
 //
 // There is no waiver: a bad directive is fixed, not excused.
 var AnnotCheck = &analysis.Analyzer{

@@ -95,6 +95,80 @@ func runCacheKey(pass *analysis.Pass) error {
 	return nil
 }
 
+// annotStruct is one //vpr:cachekey struct.
+type annotStruct struct {
+	pkg      *analysis.Package
+	pkgName  string
+	typeName string
+	fullName string // importpath.Name
+	st       *ast.StructType
+}
+
+// collectAnnotatedStructs finds every struct type whose declaration
+// carries the given directive, keyed by full name.
+func collectAnnotatedStructs(pass *analysis.Pass, directiveName string) map[string]*annotStruct {
+	out := make(map[string]*annotStruct)
+	for _, pkg := range pass.Pkgs {
+		for _, file := range pkg.Syntax {
+			for _, d := range file.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					ds := parseDirectives(gd.Doc, ts.Doc, ts.Comment)
+					if !hasDirective(ds, directiveName) {
+						continue
+					}
+					full := pkg.ImportPath + "." + ts.Name.Name
+					out[full] = &annotStruct{
+						pkg:      pkg,
+						pkgName:  pkg.Name,
+						typeName: ts.Name.Name,
+						fullName: full,
+						st:       st,
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// selectsField reports whether fn's body contains a selector
+// `expr.fieldName` where expr (after deref) has the named type full.
+func selectsField(fn funcDecl, full, fieldName string) bool {
+	info := fn.pkg.TypesInfo
+	found := false
+	ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != fieldName {
+			return true
+		}
+		tv, ok := info.Types[sel.X]
+		if !ok {
+			return true
+		}
+		if named := namedDeref(tv.Type); named != nil && namedFullName(named) == full {
+			found = true
+			return false
+		}
+		return true
+	})
+	return found
+}
+
 // goStringOf finds the struct's GoString method declared in its package.
 func goStringOf(s *annotStruct) *funcDecl {
 	for _, file := range s.pkg.Syntax {

@@ -15,16 +15,8 @@ func TestHotPathAllocFixture(t *testing.T) {
 	linttest.Run(t, "testdata/hotpathalloc", lint.HotPathAlloc)
 }
 
-func TestStatsFlowFixture(t *testing.T) {
-	linttest.Run(t, "testdata/statsflow", lint.StatsFlow)
-}
-
 func TestCacheKeyFixture(t *testing.T) {
 	linttest.Run(t, "testdata/cachekey", lint.CacheKey)
-}
-
-func TestRegHygieneFixture(t *testing.T) {
-	linttest.Run(t, "testdata/reghygiene", lint.RegHygiene)
 }
 
 func TestDetSourceFixture(t *testing.T) {

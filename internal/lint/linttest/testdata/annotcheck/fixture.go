@@ -1,5 +1,5 @@
-// Package fixture seeds annotcheck violations — two unknown directives,
-// five misplacements, and malformed arguments — next to conforming
+// Package fixture seeds annotcheck violations — three unknown directives,
+// six misplacements, and malformed arguments — next to conforming
 // directives. AnnotCheck takes no waiver: a bad directive
 // is fixed, not excused, so the honored-waiver half of this fixture is
 // the conforming placements staying quiet.
@@ -15,10 +15,10 @@ func hot() {}
 //vpr:hotpth // want `unknown //vpr: directive "hotpth"`
 func typo() {}
 
-// misplacedStats puts a struct directive on a function.
+// misplacedKey puts a struct directive on a function.
 //
-//vpr:stats // want `//vpr:stats is misplaced on a function declaration — it belongs on a struct type declaration`
-func misplacedStats() {}
+//vpr:cachekey // want `//vpr:cachekey is misplaced on a function declaration — it belongs on a struct type declaration`
+func misplacedKey() {}
 
 // S carries a line waiver in its type doc, where no line exists.
 //
@@ -26,7 +26,7 @@ func misplacedStats() {}
 type S struct {
 	// N shows a conforming field directive.
 	//
-	//vpr:statsexempt display only
+	//vpr:nocachekey display only
 	N int64
 }
 
@@ -35,9 +35,9 @@ type S struct {
 //vpr:cachekey // want `//vpr:cachekey is misplaced on a declaration that takes no directives`
 const answer = 42
 
-// noArg forgets statsink's TYPE argument.
+// noArg forgets keyfunc's TYPE argument.
 //
-//vpr:statsink // want `//vpr:statsink needs exactly 1 argument\(s\), got 0`
+//vpr:keyfunc // want `//vpr:keyfunc needs exactly 1 argument\(s\), got 0`
 func noArg() {}
 
 // chatty hands hotpath an argument it does not take.
@@ -48,7 +48,7 @@ func chatty() {}
 // Port puts a struct directive on an interface, and a directive that is
 // not in the table on one of its methods.
 //
-//vpr:stats // want `//vpr:stats is misplaced on an interface type declaration — it belongs on a struct type declaration`
+//vpr:cachekey // want `//vpr:cachekey is misplaced on an interface type declaration — it belongs on a struct type declaration`
 type Port interface {
 	// Write mutates.
 	//
@@ -68,14 +68,22 @@ type Keyless struct{ N int }
 //vpr:nocachekey pure observer // want `//vpr:nocachekey is misplaced on a function declaration — it belongs on a struct field`
 func waived() {}
 
+// table is a registration table still carrying a directive of the
+// retired reghygiene analyzer: it no longer names anything, so it is
+// reported rather than silently kept.
+//
+//vpr:registry tables // want `unknown //vpr: directive "registry"`
+var table = []string{"a", "b"}
+
 // use keeps the declarations referenced.
 func use() {
 	hot()
 	typo()
-	misplacedStats()
+	misplacedKey()
 	noArg()
 	chatty()
 	waived()
 	_ = S{N: answer}
 	_ = Keyless{N: 1}
+	_ = table
 }

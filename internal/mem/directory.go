@@ -18,8 +18,6 @@ import (
 // order — part of the determinism contract, since invalidation
 // bus reservations happen in visit order.
 type Directory interface {
-	// Kind is the registry name the directory was built from.
-	Kind() string
 	// Clear forgets everything about a set (its line was replaced).
 	Clear(set int)
 	// AddSharer records core as holding the set's line; overflowed
@@ -55,8 +53,6 @@ type directoryKindEntry struct {
 
 // directoryKinds mirrors the protocol registry: enumerable, looked up by
 // name, default (the PR-5 full-map bitmask) first.
-//
-//vpr:registry directory-kinds
 var directoryKinds = []directoryKindEntry{
 	{"fullmap", "full-map bitmask: exact sharer sets, at most 64 cores",
 		func(sets, cores, arg int) Directory { return newFullMapDir(sets) }},
@@ -79,8 +75,6 @@ type DirectoryKindInfo struct {
 }
 
 // DirectoryKinds lists the registered representations, default first.
-//
-//vpr:lookup directory-kinds
 func DirectoryKinds() []DirectoryKindInfo {
 	out := make([]DirectoryKindInfo, len(directoryKinds))
 	for i, e := range directoryKinds {
@@ -127,8 +121,6 @@ func splitDirectoryKind(kind string) (directoryKindEntry, int, error) {
 // NewDirectory builds one bank's directory of the given kind ("" =
 // fullmap; "limited" or "limited:N" for the pointer scheme) over sets
 // sets tracking cores cores.
-//
-//vpr:lookup directory-kinds
 func NewDirectory(kind string, sets, cores int) (Directory, error) {
 	e, arg, err := splitDirectoryKind(kind)
 	if err != nil {
@@ -155,8 +147,6 @@ func newFullMapDir(sets int) *fullMapDir {
 	}
 	return d
 }
-
-func (d *fullMapDir) Kind() string { return "fullmap" }
 
 func (d *fullMapDir) Clear(set int) {
 	d.sharers[set] = 0
@@ -228,8 +218,6 @@ func newLimitedDir(sets, cores, slots int) *limitedDir {
 	}
 	return d
 }
-
-func (d *limitedDir) Kind() string { return "limited" }
 
 func (d *limitedDir) set(set int) []int16 { return d.ptrs[set*d.slots : (set+1)*d.slots] }
 

@@ -172,15 +172,6 @@ func (c *BankedL2) preallocInflight(maxInflight int) {
 	}
 }
 
-// Config returns the configuration the L2 was built with.
-func (c *BankedL2) Config() L2Config { return c.cfg }
-
-// Coherent reports whether the coherence directory is active.
-func (c *BankedL2) Coherent() bool { return c.coherent }
-
-// Protocol returns the active coherence protocol (nil when not coherent).
-func (c *BankedL2) Protocol() Protocol { return c.proto }
-
 // attachPorts switches the L2 into coherent mode under the given protocol
 // and directory representation, registering the L1s it may invalidate,
 // indexed by their port id. Called by NewSystem before any traffic flows.
@@ -507,17 +498,11 @@ func (c *BankedL2) evictVictim(b *bank, set int, now int64) {
 	b.dir.Clear(set)
 }
 
-// WriteBack lands a dirty L1 victim in the L2, occupying the bank's bus
-// for one line transfer. Non-coherent entry point; the L1s call writeBack
-// so the directory learns which port gave the line up.
-func (c *BankedL2) WriteBack(now int64, lineAddr uint64) {
-	c.writeBack(now, lineAddr, 0)
-}
-
-// writeBack is WriteBack with the writing port: with coherence on, the
-// writer leaves the line's sharer set (its copy is gone) and releases
-// ownership; if the write-back lands on a set holding a different line,
-// that victim is back-invalidated first (inclusion).
+// writeBack lands port core's dirty L1 victim in the L2, occupying the
+// bank's bus for one line transfer. With coherence on, the writer leaves
+// the line's sharer set (its copy is gone) and releases ownership; if the
+// write-back lands on a set holding a different line, that victim is
+// back-invalidated first (inclusion).
 func (c *BankedL2) writeBack(now int64, lineAddr uint64, core int) {
 	b, set := c.bankOf(lineAddr)
 	c.advance(b, now)

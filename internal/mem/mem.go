@@ -57,8 +57,6 @@ type Memory interface {
 // describe the banked shared L2, and are zero on the L1 ports themselves:
 // a System reports the shared counters once, so aggregates never
 // double-count.
-//
-//vpr:stats
 type Stats struct {
 	// L1. Every access counts exactly once as a hit, a merge, an MSHR
 	// stall or a primary miss: CacheAccesses == CacheHits +
@@ -108,8 +106,6 @@ type Stats struct {
 }
 
 // Add accumulates other into s (PeakMSHRs takes the maximum).
-//
-//vpr:statsink Stats
 func (s *Stats) Add(other Stats) {
 	s.CacheAccesses += other.CacheAccesses
 	s.CacheHits += other.CacheHits

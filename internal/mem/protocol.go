@@ -376,8 +376,6 @@ type protocolEntry struct {
 
 // protocols mirrors the policy/preset registries: enumerable, looked up
 // by name, default (MSI, the pinned PR-5 behaviour) first.
-//
-//vpr:registry coherence-protocols
 var protocols = []protocolEntry{
 	{"msi", msiProtocol{}},
 	{"mesi", mesiProtocol{}},
@@ -388,8 +386,6 @@ var protocols = []protocolEntry{
 const DefaultProtocol = "msi"
 
 // Protocols lists the registered protocols, default first.
-//
-//vpr:lookup coherence-protocols
 func Protocols() []Protocol {
 	out := make([]Protocol, len(protocols))
 	for i, e := range protocols {
@@ -400,8 +396,6 @@ func Protocols() []Protocol {
 
 // ProtocolByName resolves a protocol name; the empty string selects the
 // default (MSI).
-//
-//vpr:lookup coherence-protocols
 func ProtocolByName(name string) (Protocol, error) {
 	if name == "" {
 		name = DefaultProtocol

@@ -109,12 +109,6 @@ type Multicore struct {
 	cfg   MulticoreConfig
 	cores []*Sim
 	sys   *mem.System // nil when the shared L2 is disabled
-
-	// Live-core tracking: drained[i] is set the first time core i reports
-	// Done, decrementing liveCount, so Done() is O(1) once everything has
-	// drained and the run loop never rescans finished cores.
-	drained   []bool
-	liveCount int
 	// liveBuf is reused index scratch for the run loop.
 	liveBuf []int
 
@@ -130,8 +124,6 @@ func NewMulticore(cfg MulticoreConfig, gens []trace.Generator) (*Multicore, erro
 		return nil, fmt.Errorf("pipeline: %d cores need %d traces, have %d", cfg.Cores, cfg.Cores, len(gens))
 	}
 	m := &Multicore{cfg: cfg}
-	m.drained = make([]bool, cfg.Cores)
-	m.liveCount = cfg.Cores
 	m.liveBuf = make([]int, 0, cfg.Cores)
 	if cfg.L2.Enabled {
 		sys, err := mem.NewSystem(mem.L1FromCacheConfig(cfg.Core.Cache), cfg.L2, cfg.Cores,
@@ -166,36 +158,14 @@ func (m *Multicore) Cores() int { return len(m.cores) }
 // Core exposes one core's simulator (probes, renamer statistics).
 func (m *Multicore) Core(i int) *Sim { return m.cores[i] }
 
-// System exposes the shared memory hierarchy (nil when the shared L2 is
-// disabled).
-func (m *Multicore) System() *mem.System { return m.sys }
-
-// noteDrained marks core i as drained exactly once, maintaining the
-// live-core count.
-func (m *Multicore) noteDrained(i int) {
-	if !m.drained[i] {
-		m.drained[i] = true
-		m.liveCount--
-	}
-}
-
-// Done reports whether every core has drained its trace. Once every core
-// has been seen drained the answer is a counter read; until then only the
-// cores not yet marked are consulted (draining is irreversible).
+// Done reports whether every core has drained its trace.
 func (m *Multicore) Done() bool {
-	if m.liveCount == 0 {
-		return true
-	}
-	for i, c := range m.cores {
-		if m.drained[i] {
-			continue
-		}
+	for _, c := range m.cores {
 		if !c.Done() {
 			return false
 		}
-		m.noteDrained(i)
 	}
-	return m.liveCount == 0
+	return true
 }
 
 // CoreStats snapshots one core's statistics (local L1 counters; the
@@ -229,7 +199,6 @@ func (m *Multicore) runLoop(ctx context.Context, maxCommitsPerCore int64) error 
 	n := 0
 	for i, c := range m.cores {
 		if c.Done() {
-			m.noteDrained(i)
 			continue
 		}
 		if maxCommitsPerCore > 0 && c.stats.Committed >= maxCommitsPerCore {
@@ -255,7 +224,6 @@ func (m *Multicore) runLoop(ctx context.Context, maxCommitsPerCore int64) error 
 				return fmt.Errorf("pipeline: core %d: %w", i, err)
 			}
 			if c.Done() {
-				m.noteDrained(i)
 				continue
 			}
 			if maxCommitsPerCore > 0 && c.stats.Committed >= maxCommitsPerCore {
@@ -274,8 +242,6 @@ func (m *Multicore) runLoop(ctx context.Context, maxCommitsPerCore int64) error 
 // counters are the System's, which sums every L1 and counts the shared
 // L2 exactly once. Throughput reflects the lockstep loop's host
 // wall-clock.
-//
-//vpr:statsink Stats
 func (m *Multicore) Aggregate() Stats {
 	var agg Stats
 	for _, c := range m.cores {
@@ -291,8 +257,6 @@ func (m *Multicore) Aggregate() Stats {
 // addStats accumulates one core's statistics into agg: Cycles and the
 // peak-occupancy gauge take the maximum (the cores run in lockstep),
 // everything else adds.
-//
-//vpr:statsink Stats
 func addStats(agg *Stats, st Stats) {
 	if st.Cycles > agg.Cycles {
 		agg.Cycles = st.Cycles

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -371,8 +372,9 @@ func TestMulticoreConfigValidation(t *testing.T) {
 	}
 }
 
-// TestMulticoreLiveTracking: Done() is O(1) after a drain and the run
-// loop never steps a drained core again (the live list shrinks).
+// TestMulticoreLiveTracking: Done() turns true once every core drains,
+// and the run loop never steps a drained core again (the live list
+// shrinks).
 func TestMulticoreLiveTracking(t *testing.T) {
 	cfg := MulticoreConfig{Cores: 2, Core: DefaultConfig(), L2: mem.DefaultL2Config()}
 	cfg.Core.ValueCheck = false
@@ -396,11 +398,42 @@ func TestMulticoreLiveTracking(t *testing.T) {
 	if !mc.Done() {
 		t.Fatal("drained multicore not done")
 	}
-	if mc.liveCount != 0 {
-		t.Errorf("liveCount %d after drain, want 0", mc.liveCount)
-	}
 	c0, c1 := mc.Core(0).cycle, mc.Core(1).cycle
 	if c0 >= c1 {
 		t.Errorf("short-trace core stepped to cycle %d, long core %d: drained core kept stepping", c0, c1)
+	}
+}
+
+// TestAddStatsFoldsEveryCounter gives every integer counter of a Stats —
+// the pipeline's own and those of the embedded core.Stats and MemStats —
+// a distinct non-zero value and folds it into a zero Stats. addStats
+// must reproduce it exactly: a counter left out of addStats or of either
+// embedded Add, a dropped maximum, or a fold into the wrong field all
+// show up as a mismatch, which is how a counter would otherwise vanish
+// from every multicore and SMT aggregate.
+func TestAddStatsFoldsEveryCounter(t *testing.T) {
+	var st Stats
+	next := int64(0)
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Struct:
+				fill(f)
+			case reflect.Int, reflect.Int64:
+				next++
+				f.SetInt(next)
+			}
+		}
+	}
+	fill(reflect.ValueOf(&st).Elem())
+	if st.Stats == (core.Stats{}) || st.MemStats == (MemStats{}) {
+		t.Fatal("the walk did not reach the embedded counter structs")
+	}
+
+	var agg Stats
+	addStats(&agg, st)
+	if agg.Arch() != st.Arch() {
+		t.Errorf("addStats into a zero Stats lost or moved a counter:\n got %+v\nwant %+v", agg.Arch(), st.Arch())
 	}
 }

@@ -259,7 +259,6 @@ type PolicyInfo struct {
 	Description string
 }
 
-//vpr:registry fetch-policies
 var fetchRegistry = []struct {
 	info PolicyInfo
 	pol  FetchPolicy
@@ -268,7 +267,6 @@ var fetchRegistry = []struct {
 	{PolicyInfo{FetchICount, "fewest in-flight instructions first (Tullsen-style SMT fetch gating)"}, icountFetch{}},
 }
 
-//vpr:registry issue-policies
 var issueRegistry = []struct {
 	info PolicyInfo
 	sel  IssueSelect
@@ -279,8 +277,6 @@ var issueRegistry = []struct {
 }
 
 // FetchPolicies lists the registered fetch policies, default first.
-//
-//vpr:lookup fetch-policies
 func FetchPolicies() []PolicyInfo {
 	out := make([]PolicyInfo, len(fetchRegistry))
 	for i, e := range fetchRegistry {
@@ -290,8 +286,6 @@ func FetchPolicies() []PolicyInfo {
 }
 
 // FetchPolicyByName returns the registered fetch policy.
-//
-//vpr:lookup fetch-policies
 func FetchPolicyByName(name string) (FetchPolicy, bool) {
 	for _, e := range fetchRegistry {
 		if e.info.Name == name {
@@ -302,8 +296,6 @@ func FetchPolicyByName(name string) (FetchPolicy, bool) {
 }
 
 // IssueSelects lists the registered issue-select heuristics, default first.
-//
-//vpr:lookup issue-policies
 func IssueSelects() []PolicyInfo {
 	out := make([]PolicyInfo, len(issueRegistry))
 	for i, e := range issueRegistry {
@@ -313,8 +305,6 @@ func IssueSelects() []PolicyInfo {
 }
 
 // IssueSelectByName returns the registered issue-select heuristic.
-//
-//vpr:lookup issue-policies
 func IssueSelectByName(name string) (IssueSelect, bool) {
 	for _, e := range issueRegistry {
 		if e.info.Name == name {

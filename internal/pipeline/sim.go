@@ -211,8 +211,7 @@ func (t *thread) entryByInum(inum int64) *robEntry {
 
 // --- fetch-buffer ring -------------------------------------------------------
 
-func (t *thread) fbFull() bool  { return t.fbN == len(t.fbuf) }
-func (t *thread) fbEmpty() bool { return t.fbN == 0 }
+func (t *thread) fbFull() bool { return t.fbN == len(t.fbuf) }
 
 func (t *thread) fbPush(it fetchItem) {
 	t.fbuf[(t.fbHead+t.fbN)%len(t.fbuf)] = it
@@ -449,13 +448,6 @@ func newSMTMem(cfg Config, gens []trace.Generator, scan bool, m Memory) (*Sim, e
 	}
 	return s, nil
 }
-
-// Renamer exposes thread 0's renamer for statistics collection.
-func (s *Sim) Renamer() core.Renamer { return s.threads[0].ren }
-
-// Memory exposes the data memory hierarchy port for statistics
-// collection.
-func (s *Sim) Memory() Memory { return s.dmem }
 
 // BHT exposes the shared branch predictor for statistics collection.
 func (s *Sim) BHT() *bpred.BHT { return s.bht }

@@ -19,8 +19,6 @@ type MemStats = mem.Stats
 // is a promoted field (st.RenameRegStall, st.CacheMisses, st.WallSeconds):
 // core.Stats is the renamer's, MemStats the memory hierarchy's and
 // Throughput the host's. The fields declared here are the pipeline's own.
-//
-//vpr:stats
 type Stats struct {
 	Cycles    int64
 	Committed int64

@@ -166,8 +166,6 @@ type Preset struct {
 
 // presets mirrors the experiment/policy registries: enumerable, looked up
 // by name, default first.
-//
-//vpr:registry synth-presets
 var presets = []Preset{
 	{"default", "balanced integer-program-like mix", Defaults},
 	{"fpstream", "streaming FP kernel: FP-heavy, miss-heavy, predictable branches", FPStream},
@@ -178,8 +176,6 @@ var presets = []Preset{
 }
 
 // Presets lists the named parameter sets.
-//
-//vpr:lookup synth-presets
 func Presets() []Preset {
 	out := make([]Preset, len(presets))
 	copy(out, presets)
@@ -187,8 +183,6 @@ func Presets() []Preset {
 }
 
 // ByName resolves a preset name to its parameters.
-//
-//vpr:lookup synth-presets
 func ByName(name string) (Params, bool) {
 	for _, p := range presets {
 		if p.Name == name {

@@ -44,7 +44,6 @@ func (s Spec) NewGen() (trace.Generator, error) {
 	return gen, nil
 }
 
-//vpr:registry workloads
 var catalog = []Spec{
 	{"go", "int", "branchy board evaluation, data-dependent branches, mostly-resident board", buildGo},
 	{"li", "int", "pointer-chasing list interpreter with call/return per node", buildLi},
@@ -66,8 +65,6 @@ func Catalog() []Spec {
 }
 
 // Names returns the workload names in catalog order.
-//
-//vpr:lookup workloads
 func Names() []string {
 	names := make([]string, len(catalog))
 	for i, s := range catalog {
@@ -77,8 +74,6 @@ func Names() []string {
 }
 
 // ByName finds a workload.
-//
-//vpr:lookup workloads
 func ByName(name string) (Spec, bool) {
 	for _, s := range catalog {
 		if s.Name == name {
